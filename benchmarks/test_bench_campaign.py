@@ -10,6 +10,8 @@ fleet with one dominant cell) are guarded wherever enough cores exist
 to demonstrate parallelism at all.
 """
 
+import multiprocessing
+import queue
 import time
 
 import pytest
@@ -30,6 +32,57 @@ def fleet_cells(budget: int, n_fft: int = 2048) -> list[CampaignCell]:
         CampaignCell("brute-force", base.with_(chip=ChipSpec(chip_id=chip_id)))
         for chip_id in range(N_CHIPS)
     ]
+
+
+def _run_shard(shard, results) -> None:
+    from repro.campaigns.campaign import _worker_init
+
+    try:
+        _worker_init(None)
+        for index, cell in shard:
+            results.put((index, cell.execute()))
+    except BaseException as exc:  # hand the failure to the parent
+        results.put((None, repr(exc)))
+
+
+def run_static_shards(cells, n_workers: int) -> list:
+    """The naive baseline the work-stealing scheduler is guarded
+    against: contiguous cell shards pre-assigned one per worker
+    process, so a dominant cell pins its whole shard behind it.
+    Returns the reports in cell order."""
+    indexed = list(enumerate(cells))
+    chunk = -(-len(indexed) // n_workers)
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    workers = [
+        ctx.Process(target=_run_shard, args=(indexed[i:i + chunk], results),
+                    daemon=True)
+        for i in range(0, len(indexed), chunk)
+    ]
+    for worker in workers:
+        worker.start()
+    reports = {}
+    try:
+        while len(reports) < len(indexed):
+            try:
+                index, report = results.get(timeout=1.0)
+            except queue.Empty:
+                codes = [worker.exitcode for worker in workers]
+                if any(codes) or None not in codes:
+                    raise RuntimeError(
+                        f"static shard workers exited {codes} with "
+                        f"{len(indexed) - len(reports)} cells unreported"
+                    ) from None
+                continue
+            if index is None:
+                raise RuntimeError(f"static shard failed: {report}")
+            reports[index] = report
+    finally:
+        for worker in workers:
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+    return [reports[i] for i in range(len(indexed))]
 
 
 def test_bench_campaign_sequential_fleet(run_once):
@@ -141,15 +194,20 @@ def test_imbalanced_fleet_work_stealing_beats_static_sharding(benchmark):
     cells = [dominant] + small
     reference = run_campaign(cells).reports  # also warms the kernel
 
-    def wall(scheduler: str) -> float:
+    def wall(run) -> float:
         start = time.perf_counter()
-        result = run_campaign(cells, n_workers=4, scheduler=scheduler)
+        reports = run()
         elapsed = time.perf_counter() - start
-        assert result.reports == reference
+        assert reports == reference
         return elapsed
 
-    static = min(wall("static") for _ in range(3))
-    stealing = min(wall("stealing") for _ in range(3))
+    static = min(
+        wall(lambda: run_static_shards(cells, 4)) for _ in range(3)
+    )
+    stealing = min(
+        wall(lambda: run_campaign(cells, n_workers=4).reports)
+        for _ in range(3)
+    )
     speedup = static / stealing
     benchmark.extra_info["static_seconds"] = round(static, 3)
     benchmark.extra_info["stealing_seconds"] = round(stealing, 3)

@@ -10,7 +10,7 @@ work-stealing scheduler (:mod:`repro.service`): workers pull cells off
 a shared queue as they free up, die calibrations run as first-class
 tasks that unblock their gated attack cells the moment they land, and
 reports come back deterministic and bit-identical to a sequential run
-whatever the worker count, backend or scheduler mode.
+whatever the worker count or backend.
 
 Workers share one cross-process
 :class:`~repro.engine.store.CalibrationStore`; each (lot, die,
@@ -280,7 +280,6 @@ def run_campaign(
     json_path: str | None = None,
     calibration_store: str | None = None,
     journal: str | None = None,
-    scheduler: str | None = None,
 ) -> CampaignResult:
     """Execute every cell; reports come back in cell order.
 
@@ -312,9 +311,6 @@ def run_campaign(
             persist there as they finish, so re-running the identical
             campaign after a kill resumes from the finished cells and
             reproduces the uninterrupted run's reports bit-identically.
-        scheduler: ``"stealing"`` (default) or ``"static"`` (contiguous
-            pre-assigned shards — the naive baseline the
-            imbalanced-fleet benchmark guards against).
 
     Sharded runs schedule the unique (lot, die, standard) calibrations
     the attack adapters declare as first-class tasks ahead of the cells
@@ -332,7 +328,6 @@ def run_campaign(
             backend=backend,
             calibration_store=calibration_store,
             journal=journal,
-            scheduler=scheduler,
         )
     )
     result = handle.result()

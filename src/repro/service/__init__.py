@@ -27,20 +27,23 @@ cleanly (``cancel()``).  Completed cells journal into an on-disk
 campaign resumes from its finished cells bit-identically.
 
 Reports are bit-identical to sequential execution across worker
-counts, backends and scheduler modes — cells rebuild their chips and
-seed their own RNGs, and calibrations are deterministic values read
-through the shared :class:`~repro.engine.store.CalibrationStore` —
-held differentially in ``tests/test_service.py``.
+counts and backends — cells rebuild their chips and seed their own
+RNGs, and calibrations are deterministic values read through the
+shared :class:`~repro.engine.store.CalibrationStore` — held
+differentially in ``tests/test_service.py``.
 :func:`~repro.campaigns.campaign.run_campaign`, the experiment runner
 and the example studies are thin clients of this service.
 
-Execution is **self-healing**: supervised workers (the stealing
-scheduler and the daemon fleet) that die or hang mid-task are
-respawned and their task retried up to ``REPRO_TASK_RETRIES`` attempts
-(a hung worker is reclaimed after ``REPRO_TASK_TIMEOUT`` seconds of
-heartbeat silence), with reports byte-identical across any crash
-schedule — held under the deterministic fault-injection plans of
-:mod:`repro.faults` in ``tests/test_faults.py``.
+Execution is **self-healing**: one
+:class:`~repro.service.scheduler.Supervisor` runs every worker — a
+private one that the consumer drives in-process, and the daemon's
+persistent fleet, which is the same supervisor stepped by a router
+thread.  Workers that die or hang mid-task are respawned and their
+task retried up to ``REPRO_TASK_RETRIES`` attempts (a hung worker is
+reclaimed after ``REPRO_TASK_TIMEOUT`` seconds of heartbeat silence),
+with reports byte-identical across any crash schedule — held under the
+deterministic fault-injection plans of :mod:`repro.faults` in
+``tests/test_faults.py``.
 """
 
 from repro.service.jobs import (

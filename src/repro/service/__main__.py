@@ -41,7 +41,6 @@ def _cmd_serve(args) -> int:
         socket=args.socket,
         n_workers=args.workers,
         tenants=[parse_tenant_spec(spec) for spec in args.tenant],
-        scheduler=args.scheduler,
         max_active=args.max_active,
         name=args.name,
     )
@@ -228,8 +227,6 @@ def main(argv=None) -> int:
                        metavar="NAME[=PRIO[:QUOTA[:SPM[:QPM]]]]",
                        help="tenant config (repeatable): priority, absolute "
                             "query quota, submits/min, queries/min")
-    serve.add_argument("--scheduler", default="stealing",
-                       help="default campaign scheduler mode")
     serve.add_argument("--max-active", type=int, default=None,
                        help="max concurrently running jobs")
     serve.add_argument("--name", default=None,

@@ -24,26 +24,28 @@ Architecture
   forks from the threaded daemon (the trade every
   ``multiprocessing.Pool`` makes); the worker main immediately re-runs
   the same initialisation, so the replacement is indistinguishable.
-* **One fleet, many jobs.**  Every job's tasks go into the fleet's one
-  ready pool, tagged with a per-job *ticket* and a
-  :class:`TaskContext` (backend, store, tenant meter); workers
-  re-initialise exactly like the per-job scheduler's workers whenever
-  the context changes hands, so which worker runs a task still cannot
-  change any report.  A job's ``n_workers`` bounds how many of its
+* **One fleet, many jobs.**  :class:`WorkerFleet` is the one
+  :class:`~repro.service.scheduler.Supervisor` — the same executor the
+  in-process path drives privately — plus a router thread looping on
+  its ``step()``.  Every job's tasks go into its one ready pool,
+  tagged with a per-job *ticket* and a
+  :class:`~repro.service.scheduler.TaskContext` (backend, store,
+  tenant meter); workers re-initialise whenever the context changes
+  hands, so which worker runs a task cannot change any report.  Each
+  job is the same :func:`~repro.service.scheduler.run_graph` task
+  graph as in-process: a job's ``n_workers`` bounds how many of its
   tasks are in flight at once (1 serialises the job's cells — which is
   what makes per-tenant metering deterministic), and provisioning
-  tasks gate their attack cells exactly as in
-  :func:`~repro.service.scheduler.run_stealing`.
+  tasks gate their attack cells.
 * **Self-healing.**  Fleet workers are supervised over per-worker
   duplex pipes (see :mod:`~repro.service.scheduler`): a worker that
   dies or hangs mid-task is reaped, respawned, and its task requeued
   with its partial tenant charges rolled back from the per-task
   reservation journal — a job fails only once one of *its* tasks
   exhausts the ``REPRO_TASK_RETRIES`` attempt budget
-  (:class:`~repro.service.jobs.TaskRetriesExhausted` delivered to that
-  job's mailbox alone; every other tenant's job keeps running), and
-  reports stay byte-identical across any crash schedule
-  (``tests/test_faults.py``).
+  (:class:`~repro.service.jobs.TaskRetriesExhausted` raised in that
+  job alone; every other tenant's job keeps running), and reports stay
+  byte-identical across any crash schedule (``tests/test_faults.py``).
 * **Admission control.**  Submissions enter a priority queue (tenant
   priority first, FIFO within a level) and at most ``max_active`` jobs
   run concurrently; per-tenant query quotas meter through one
@@ -59,11 +61,14 @@ Architecture
   the store root, so a killed daemon can never stall the next one.
 
 Execution reuses the service layer wholesale: :class:`_FleetService`
-overrides only *where* tasks run (the persistent fleet instead of a
-per-job worker team), so the event sequence shape, journaling and
-result assembly are the very code paths ``tests/test_service.py``
-already holds bit-identical — the daemon differential guard in
-``tests/test_daemon.py`` closes the loop over the wire.
+supplies only the executor (the persistent fleet instead of a private
+supervisor), the tenant's metered task context and the policy that
+every job runs on the fleet against a shared store, so the event
+sequence shape, journaling and result assembly are the very code paths
+``tests/test_service.py`` already holds bit-identical — the daemon
+differential guard in ``tests/test_daemon.py`` closes the loop over
+the wire.  The socket front door is :func:`~repro.service.protocol.
+serve_frames`, shared with the gateway.
 """
 
 from __future__ import annotations
@@ -75,56 +80,37 @@ import json
 import os
 import pickle
 import queue as queue_module
-import socket as socket_module
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
-from repro import faults
 from repro.engine import CalibrationStore
 from repro.service.jobs import (
     CampaignJob,
     JobFailed,
     JobStatus,
     ProvisioningJob,
-    SCHEDULERS,
-    TaskEvent,
-    TaskRetriesExhausted,
     default_worker_count,
-    task_retry_budget,
-    task_timeout_seconds,
     validate_worker_count,
 )
 from repro.service.protocol import (
-    ProtocolError,
     bind,
     decode_payload,
     default_address,
     encode_payload,
     event_to_wire,
-    recv_frame,
     send_frame,
+    serve_frames,
 )
 from repro.service.scheduler import (
     POLL_SECONDS,
-    AssembleTask,
-    ProvisionTask,
-    SubTask,
-    _context,
-    kill_slot,
-    run_task,
-    spawn_worker,
-    start_heartbeat,
+    Supervisor,
+    TaskContext,
+    run_graph,
 )
-from repro.service.service import (
-    FoundryService,
-    journal_task_events,
-    plan_campaign_tasks,
-    plan_cell_partitions,
-)
-from repro.service.tenants import TenantConfig, TenantMeter, TokenBucket
+from repro.service.service import FoundryService
+from repro.service.tenants import TenantConfig, TenantDirectory, TenantMeter
 
 #: Job statuses that will never change again.
 TERMINAL_STATUSES = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED)
@@ -152,200 +138,65 @@ def derive_job_id(tenant: str, job) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaskContext:
-    """Everything a fleet worker must (re-)initialise to run a task:
-    the job's backend and shared store (exactly the per-job scheduler's
-    ``_worker_init`` arguments) plus the tenant's meter.  Workers
-    re-init only when the context changes hands, so consecutive tasks
-    of one job pay it once."""
-
-    backend: str | None = None
-    store_path: str | None = None
-    tenant: str = "default"
-    meter_path: str | None = None
-    max_queries: int | None = None
-    max_queries_per_minute: float | None = None
-
-
-@dataclass(frozen=True)
-class ExperimentTask:
-    """One experiment-registry entry as a fleet task (the daemon runs
-    experiment jobs on the fleet — the daemon process itself never
-    simulates)."""
-
-    name: str
-    full: bool = False
-    position: int = 0
-
-    def label(self) -> str:
-        return self.name
-
-    def key(self) -> tuple:
-        """Stable identity for retry accounting and charge reservations."""
-        return ("experiment", self.position, self.name)
-
-    def run(self):
-        from repro.experiments.runner import REGISTRY
-
-        return REGISTRY[self.name].execute(full=self.full)
-
-
-def _fleet_worker_main(conn, heartbeat) -> None:
-    """One persistent fleet worker: receive ``(ticket, context, task,
-    task_id)`` items on its private duplex pipe until the sentinel,
-    re-initialising on context changes.
-
-    Initialisation is the per-job scheduler's ``_worker_init`` plus the
-    tenant meter install, so reports cannot depend on which worker (or
-    whose fleet) ran a task — the daemon differential guard holds this
-    against the in-process service.  Before a metered task runs, its
-    charge reservation opens under ``task_id`` (see
-    :meth:`~repro.service.tenants.TenantMeter.begin_task`); the
-    *parent* settles it — commit on the result, rollback before a
-    retry — because the parent is the only survivor of every crash
-    schedule.
-    """
-    from repro.attacks.oracle import install_tenant_meter
-    from repro.campaigns.campaign import _worker_init
-
-    start_heartbeat(heartbeat)
-    current = None
-    meter = None
-    while True:
-        try:
-            item = conn.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
-        ticket, context, task, task_id = item
-        if context != current:
-            _worker_init(context.backend, context.store_path)
-            if context.meter_path is not None:
-                meter = TenantMeter(
-                    context.meter_path,
-                    context.max_queries,
-                    tenant=context.tenant,
-                    max_per_minute=context.max_queries_per_minute,
-                )
-            else:
-                meter = None
-            install_tenant_meter(meter)
-            current = context
-        if meter is not None:
-            meter.begin_task(task_id)
-        kind, task, payload, seconds, error = run_task(task)
-        conn.send((ticket, kind, task, payload, seconds, error))
-        if faults.ENABLED and faults.fire("worker.torn_conn"):
-            faults.tear_connection(conn)
-
-
-class _FleetItem:
-    """One unit of fleet work in flight: the submitting job's ticket,
-    the worker context, the task, and the id its charge reservation
-    and retry accounting live under."""
-
-    __slots__ = ("ticket", "context", "task", "task_id")
-
-    def __init__(self, ticket: int, context: TaskContext, task):
-        self.ticket = ticket
-        self.context = context
-        self.task = task
-        self.task_id = f"{ticket}:{task.key()!r}"
-
-
-class WorkerFleet:
+class WorkerFleet(Supervisor):
     """ONE persistent, self-healing worker team every admitted job's
-    tasks run on.
+    tasks run on: the :class:`~repro.service.scheduler.Supervisor`
+    plus a router thread that loops on its ``step()``.
 
-    Unlike the per-job scheduler's teams (forked and reaped per job),
-    the fleet forks once — at daemon startup, while the parent is
-    still single-threaded — and serves tasks from many concurrent jobs
-    out of one shared ready pool.  Each job opens a *ticket*: a
-    registered mailbox the router thread delivers that job's results
-    to.  Results for a closed ticket (a cancelled job's stragglers)
-    are dropped — at most the job's in-flight bound of tasks runs
+    Unlike the in-process path's private supervisor (forked and reaped
+    per job), the fleet forks once — at daemon startup, while the
+    parent is still single-threaded — and serves tasks from many
+    concurrent jobs out of one shared ready pool.  Each job opens a
+    *ticket*, a mailbox the router delivers that job's results to;
+    results for a closed ticket (a cancelled job's stragglers) are
+    dropped — at most the job's in-flight bound of tasks runs
     wastefully, and every store write they made stays valid
-    (deterministic values).
-
-    Supervision (mirroring :func:`~repro.service.scheduler.
-    run_stealing`): every worker hangs off its own duplex pipe, so the
-    router — which also dispatches and supervises, one thread owning
-    all slot state — knows exactly which item each worker holds.  A
-    dead worker (exit code) or a hung one (heartbeat silent past
-    ``REPRO_TASK_TIMEOUT``) is reaped and respawned, its item's tenant
-    charges are rolled back from the reservation journal, and the item
-    is requeued at the front of the pool; only when one task has
-    consumed the whole ``REPRO_TASK_RETRIES`` budget does its *own*
-    job fail (an ``"exhausted"`` mailbox message -> :class:`~repro.
-    service.jobs.TaskRetriesExhausted`) — every other job keeps
-    running.  Respawned workers fork from a threaded daemon (the same
-    trade multiprocessing.Pool makes); only the initial fleet needs
-    the single-threaded fork window.
+    (deterministic values).  A task that exhausts its retry budget
+    fails only its own job; every other job keeps running.  Respawned
+    workers fork from a threaded daemon (the same trade
+    ``multiprocessing.Pool`` makes); only the initial fleet needs the
+    single-threaded fork window.
     """
 
     def __init__(self, n_workers: int):
-        validate_worker_count(n_workers, "fleet n_workers")
-        self.n_workers = n_workers
-        self._mp = _context()
-        self.slots: list = []
-        self._ready: deque = deque()
-        self._attempts: dict[str, list] = {}
-        self._mailboxes: dict[int, queue_module.Queue] = {}
-        self._tickets = itertools.count(1)
-        self._lock = threading.Lock()
+        super().__init__(validate_worker_count(n_workers, "fleet n_workers"))
         self._stop_event = threading.Event()
         self._router = None
-        self._wake_r = self._wake_w = None
+        self._wake_w = None
         self._failure: str | None = None
-        self._retry_budget = task_retry_budget()
-        self._watchdog = task_timeout_seconds()
-        self._barren_respawns = 0
-
-    @property
-    def workers(self) -> list:
-        """The live worker processes (diagnostics and tests)."""
-        return [slot.proc for slot in self.slots]
 
     def start(self) -> None:
         """Fork the workers (the caller must still be single-threaded),
-        then start the router/dispatcher/supervisor thread."""
-        self.slots = [self._spawn() for _ in range(self.n_workers)]
+        then start the router thread."""
+        super().start()
         self._wake_r, self._wake_w = os.pipe()
         self._router = threading.Thread(
             target=self._route, name="repro-fleet-router", daemon=True
         )
         self._router.start()
 
-    def _spawn(self):
-        return spawn_worker(self._mp, _fleet_worker_main, ())
-
-    def open_ticket(self) -> tuple[int, queue_module.Queue]:
-        with self._lock:
-            ticket = next(self._tickets)
-            mailbox: queue_module.Queue = queue_module.Queue()
-            self._mailboxes[ticket] = mailbox
-        return ticket, mailbox
-
-    def close_ticket(self, ticket: int) -> None:
-        with self._lock:
-            self._mailboxes.pop(ticket, None)
-            # Drop the ticket's queued work and retry history: no
-            # mailbox will ever collect it.
-            self._ready = deque(
-                item for item in self._ready if item.ticket != ticket
-            )
-            prefix = f"{ticket}:"
-            for task_id in [
-                t for t in self._attempts if t.startswith(prefix)
-            ]:
-                del self._attempts[task_id]
-
     def submit(self, ticket: int, context: TaskContext, task) -> None:
-        with self._lock:
-            self._ready.append(_FleetItem(ticket, context, task))
+        super().submit(ticket, context, task)
         self._wake()
+
+    def receive(self, mailbox):
+        """The next message for ``mailbox`` (the router delivers it);
+        None after :data:`~repro.service.scheduler.POLL_SECONDS` of
+        silence.  Raises :class:`JobFailed` when the fleet can no longer
+        make progress — not on a worker death (the router respawns
+        those), but on a respawn storm or a dead router, where the job
+        would otherwise wait forever."""
+        try:
+            return mailbox.get(timeout=POLL_SECONDS)
+        except queue_module.Empty:
+            pass
+        if self._stop_event.is_set():
+            return None
+        if self._failure is not None:
+            raise JobFailed(self._failure)
+        if not self._router.is_alive():
+            raise JobFailed("fleet router thread died")
+        return None
 
     def _wake(self) -> None:
         if self._wake_w is not None:
@@ -354,175 +205,23 @@ class WorkerFleet:
             except OSError:
                 pass
 
-    def check_alive(self) -> None:
-        """Raise :class:`JobFailed` when the fleet can no longer make
-        progress — not on a worker death (the router respawns those),
-        but on a respawn storm or a dead router, where a job's tasks
-        would otherwise wait forever."""
-        if self._stop_event.is_set():
-            return
-        if self._failure is not None:
-            raise JobFailed(self._failure)
-        if self._router is not None and not self._router.is_alive():
-            raise JobFailed("fleet router thread died")
-
-    def _deliver(self, ticket: int, message) -> None:
-        with self._lock:
-            mailbox = self._mailboxes.get(ticket)
-        if mailbox is not None:
-            mailbox.put(message)
-
-    def _meter(self, item: _FleetItem) -> TenantMeter | None:
-        if item.context.meter_path is None:
-            return None
-        return TenantMeter(
-            item.context.meter_path,
-            item.context.max_queries,
-            tenant=item.context.tenant,
-            max_per_minute=item.context.max_queries_per_minute,
-        )
-
-    def _settle(self, slot, message) -> None:
-        """One worker result: commit its charge reservation (the
-        charges stand — even for an ``"error"`` result, which spent
-        real measurements exactly as an in-process run would have) and
-        deliver it to the submitting job's mailbox."""
-        ticket, kind, task, payload, seconds, error = message
-        item, slot.item = slot.item, None
-        self._barren_respawns = 0
-        if item is not None:
-            meter = self._meter(item)
-            if meter is not None:
-                meter.commit_task(item.task_id)
-            self._attempts.pop(item.task_id, None)
-        self._deliver(ticket, (kind, task, payload, seconds, error))
-
-    def _reclaim(self, slot, note: str) -> None:
-        """A dead or hung worker's item: roll back its partial tenant
-        charges, then requeue it — or, once its attempt budget is
-        spent, fail its own job (and only its own job)."""
-        item, slot.item = slot.item, None
-        if item is None:
-            return
-        meter = self._meter(item)
-        if meter is not None:
-            meter.rollback_task(item.task_id)
-        notes = self._attempts.setdefault(item.task_id, [])
-        notes.append(note)
-        if len(notes) >= self._retry_budget:
-            del self._attempts[item.task_id]
-            self._deliver(
-                item.ticket,
-                ("exhausted", item.task, None, 0.0, list(notes)),
-            )
-            return
-        with self._lock:
-            self._ready.appendleft(item)  # retry first: cells may gate on it
-
     def _route(self) -> None:
-        """The fleet's one owner thread: dispatch ready items to idle
-        workers, collect results, and supervise (reap, respawn,
-        requeue) — single-threaded slot state, no handoff races."""
-        from multiprocessing import connection
-
         while not self._stop_event.is_set():
-            with self._lock:
-                for slot in self.slots:
-                    if slot.broken or slot.item is not None \
-                            or not self._ready:
-                        continue
-                    item = self._ready.popleft()
-                    try:
-                        slot.conn.send(
-                            (item.ticket, item.context, item.task,
-                             item.task_id)
-                        )
-                    except (OSError, ValueError):
-                        self._ready.appendleft(item)
-                        # Flag the torn pipe: the process may be alive
-                        # with a beating heartbeat, and an unflagged
-                        # slot would look idle forever (livelock).
-                        slot.broken = True
-                        continue
-                    slot.item = item
-            waitable = [slot.conn for slot in self.slots] + [self._wake_r]
             try:
-                readable = connection.wait(waitable, timeout=POLL_SECONDS)
-            except OSError:
-                readable = []
-            for conn in readable:
-                if conn == self._wake_r:  # the wake pipe is a raw fd
-                    try:
-                        os.read(self._wake_r, 4096)
-                    except OSError:
-                        pass
-                    continue
-                slot = next(s for s in self.slots if s.conn is conn)
-                try:
-                    message = slot.conn.recv()
-                except (EOFError, OSError):
-                    slot.broken = True  # the sweep below reclaims it
-                    continue
-                self._settle(slot, message)
-            for i, slot in enumerate(self.slots):  # supervision sweep
-                hung = slot.stale(self._watchdog)
-                if slot.proc.is_alive() and not hung and not slot.broken:
-                    continue
-                if self._stop_event.is_set():
-                    return
-                if hung:
-                    kill_note = (
-                        f"fleet worker hung (heartbeat silent > "
-                        f"{self._watchdog:g}s); killed"
-                    )
-                elif slot.broken and slot.proc.is_alive():
-                    kill_note = "fleet worker pipe broke; killed"
-                else:
-                    kill_note = None
-                # Kill hung/broken-but-alive workers BEFORE draining: a
-                # drain-first order races a late result into the pipe
-                # between drain and kill — the task would settle AND be
-                # reclaimed (double execution, double tenant charge).
-                # Dead workers cannot send, so the post-kill drain still
-                # collects everything they reported before dying.
-                note = kill_slot(slot, kill_note)
-                try:
-                    while slot.conn.poll():
-                        self._settle(slot, slot.conn.recv())
-                except (EOFError, OSError):
-                    pass
-                slot.close()
-                self._barren_respawns += 1
-                if self._barren_respawns > 3 * len(self.slots) + \
-                        self._retry_budget:
-                    self._failure = (
-                        f"fleet workers died {self._barren_respawns} times "
-                        f"without completing a task (last: {note})"
-                    )
-                    self._reclaim(slot, note)
-                    return
-                self._reclaim(slot, note)
-                self.slots[i] = self._spawn()
+                self.step(POLL_SECONDS)
+            except JobFailed as exc:  # respawn storm: fail every job
+                self._failure = str(exc)
+                return
 
     def shutdown(self) -> None:
-        """Reap the fleet: sentinels, bounded joins, terminate
-        stragglers (a stopping daemon must not leave orphans)."""
+        """Stop the router, then reap the fleet: sentinels, bounded
+        joins, terminate stragglers (a stopping daemon must not leave
+        orphans)."""
         self._stop_event.set()
         self._wake()
         if self._router is not None:
             self._router.join(timeout=5.0)
-        for slot in self.slots:
-            if slot.proc.is_alive():
-                try:
-                    slot.conn.send(None)
-                except (OSError, ValueError):
-                    pass
-        for slot in self.slots:
-            slot.proc.join(timeout=5.0)
-            if slot.proc.is_alive():
-                slot.proc.terminate()
-                slot.proc.join(timeout=5.0)
-            slot.close()
+        super().shutdown()
         for fd in (self._wake_r, self._wake_w):
             if fd is not None:
                 try:
@@ -532,123 +231,28 @@ class WorkerFleet:
         self._wake_r = self._wake_w = None
 
 
-def run_on_fleet(fleet: WorkerFleet, context: TaskContext, cell_tasks,
-                 provision_tasks, cell_triples, max_inflight: int,
-                 partitions=None):
-    """Drive one job's tasks through the shared fleet: yields
-    ``(task, payload, seconds)`` per completed provision or cell task,
-    completion order.
-
-    The fleet analogue of :func:`~repro.service.scheduler.run_stealing`
-    — identical gating (a cell enqueues the moment its last missing
-    triple lands) and identical sub-task handling (``partitions`` maps
-    cell index -> partition plan; sub-task completions are internal,
-    the cell completes via its replaying
-    :class:`~repro.service.scheduler.AssembleTask`) — with two
-    differences: tasks go to the *shared* persistent fleet instead of a
-    private team, and ``max_inflight`` bounds this job's
-    concurrently-dispatched tasks (the job's ``n_workers``), which both
-    shares the fleet fairly between concurrent jobs and makes a
-    1-worker job's cells execute strictly sequentially — the property
-    per-tenant quota determinism rides on.  Sub-tasks are unmetered by
-    construction, so their reservation/rollback traffic is zero-charge
-    and the AssembleTask's charges commit under the same ``("cell",
-    index)`` reservation id a scalar cell's would.
-    """
-    partitions = dict(partitions or {})
-    blocked = {
-        task: set(cell_triples.get(getattr(task, "index", None), ()))
-        for task in cell_tasks
-    }
-    waiters: dict[tuple, list] = {}
-    for task in cell_tasks:
-        for triple in blocked[task]:
-            waiters.setdefault(triple, []).append(task)
-    outstanding: dict[int, int] = {}  # cell index -> unabsorbed sub-tasks
-    ready = deque(provision_tasks)  # provisioning first: it unblocks cells
-
-    def release(task):
-        plan = partitions.get(getattr(task, "index", None))
-        if plan is None:
-            ready.append(task)
-            return
-        parts = plan.initial_parts()
-        outstanding[task.index] = len(parts)
-        for part_id, part in parts:
-            ready.append(SubTask(task.index, part_id, task.cell, part))
-
-    for task in cell_tasks:
-        if not blocked[task]:
-            release(task)
-    total = len(cell_tasks) + len(provision_tasks)
-    ticket, mailbox = fleet.open_ticket()
-    inflight = 0
-    done = 0
-    try:
-        while done < total:
-            while ready and inflight < max_inflight:
-                fleet.submit(ticket, context, ready.popleft())
-                inflight += 1
-            try:
-                kind, task, payload, seconds, error = mailbox.get(
-                    timeout=POLL_SECONDS
-                )
-            except queue_module.Empty:
-                fleet.check_alive()
-                continue
-            inflight -= 1
-            if kind == "exhausted":
-                # This task's workers died/hung through its whole retry
-                # budget; only THIS job fails — the fleet healed itself
-                # and every other job keeps running.
-                raise TaskRetriesExhausted(task.label(), error)
-            if kind == "error":
-                raise JobFailed(f"task {task.label()!r} failed:\n{error}")
-            if isinstance(task, SubTask):
-                plan = partitions[task.index]
-                new_parts = plan.absorb(task.part_id, payload)
-                outstanding[task.index] += len(new_parts) - 1
-                for part_id, part in new_parts:
-                    ready.append(
-                        SubTask(task.index, part_id, task.cell, part)
-                    )
-                if outstanding[task.index] == 0:
-                    ready.append(
-                        AssembleTask(task.index, task.cell, plan.script())
-                    )
-                continue
-            done += 1
-            if isinstance(task, ProvisionTask):
-                for waiter in waiters.pop(task.triple, ()):
-                    pending = blocked[waiter]
-                    pending.discard(task.triple)
-                    if not pending:
-                        release(waiter)
-            yield task, payload, seconds
-    finally:
-        fleet.close_ticket(ticket)
-
-
-# ---------------------------------------------------------------------------
-# The service facade over the fleet
-# ---------------------------------------------------------------------------
-
-
 class _FleetService(FoundryService):
-    """A :class:`FoundryService` whose execution hooks route every task
-    to the daemon's persistent fleet — the daemon process itself never
-    simulates, and validation / journal replay / result assembly stay
-    the inherited (differentially guarded) code paths."""
+    """A :class:`FoundryService` whose task graphs all run on the
+    daemon's persistent fleet under the tenant's metered
+    :class:`~repro.service.scheduler.TaskContext` — the daemon process
+    itself never simulates, and validation / journal replay / result
+    assembly stay the inherited (differentially guarded) code paths."""
 
     def __init__(self, daemon: "FoundryDaemon", tenant: TenantConfig):
-        super().__init__(
-            n_workers=daemon.fleet.n_workers, scheduler=daemon.scheduler
-        )
+        super().__init__(n_workers=daemon.fleet.n_workers)
         self._daemon = daemon
         self._tenant = tenant
 
-    def _task_context(self, backend, store_path) -> TaskContext:
-        return TaskContext(
+    def _runs_inline(self, n_workers, n_tasks):
+        return False  # the daemon process itself never simulates
+
+    def _clear_lock_debris(self, store, triples):
+        """No-op: the store is shared with concurrent jobs, whose live
+        locks these may be; the daemon sweeps debris at startup."""
+
+    def _run_tasks(self, backend, store_path, cell_tasks, provision_tasks,
+                   cell_triples, n_workers, partitions=None):
+        context = TaskContext(
             backend=backend,
             store_path=store_path,
             tenant=self._tenant.name,
@@ -656,70 +260,8 @@ class _FleetService(FoundryService):
             max_queries=self._tenant.max_queries,
             max_queries_per_minute=self._tenant.max_queries_per_minute,
         )
-
-    def _campaign_runner(self, job, todo, n_workers, scheduler, journal):
-        return self._campaign_fleet(job, todo, n_workers, journal), n_workers
-
-    def _campaign_fleet(self, job, todo, n_workers, journal):
-        store_path = job.calibration_store or (
-            journal.calibration_store_path() if journal else None
-        )
-        store = CalibrationStore(store_path)
-        # clear_locks=False: unlike the per-job service, a concurrent
-        # job of this daemon may hold a *live* lock on a shared triple;
-        # crashed-holder debris was swept once at daemon startup.
-        cell_tasks, provision_tasks, cell_triples = plan_campaign_tasks(
-            todo, store, clear_locks=False
-        )
-        events = run_on_fleet(
-            self._daemon.fleet,
-            self._task_context(job.backend, store_path),
-            cell_tasks,
-            provision_tasks,
-            cell_triples,
-            max_inflight=n_workers,
-            partitions=plan_cell_partitions(todo),
-        )
-        yield from journal_task_events(events, journal)
-
-    def _provision_runner(self, job, missing, n_workers, store):
-        events = run_on_fleet(
-            self._daemon.fleet,
-            self._task_context(job.backend, str(store.path)),
-            [],
-            [ProvisionTask(t) for t in missing],
-            {},
-            max_inflight=n_workers,
-        )
-        for task, payload, seconds in events:
-            yield TaskEvent("provision", task.label(), None, payload, seconds)
-
-    def _experiment_events(self, job):
-        from repro.experiments.runner import REGISTRY
-
-        selected = list(REGISTRY)
-        if job.names:
-            selected = [name for name in selected if name in job.names]
-        tasks = [
-            ExperimentTask(name, job.full, position)
-            for position, name in enumerate(selected)
-        ]
-        # max_inflight=1: experiments stream in report order, exactly
-        # like the in-process registry loop.
-        events = run_on_fleet(
-            self._daemon.fleet,
-            self._task_context(job.backend, None),
-            tasks,
-            [],
-            {},
-            max_inflight=1,
-        )
-        results = []
-        for task, payload, seconds in events:
-            results.append(payload)
-            yield TaskEvent("experiment", task.name, task.position, payload,
-                            seconds)
-        return results
+        return run_graph(self._daemon.fleet, context, cell_tasks,
+                         provision_tasks, cell_triples, n_workers, partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +289,7 @@ class DaemonJob:
         self.admitted = False
 
 
-class FoundryDaemon:
+class FoundryDaemon(TenantDirectory):
     """Long-lived, multi-tenant job server over the foundry service.
 
     Args:
@@ -762,7 +304,6 @@ class FoundryDaemon:
         tenants: :class:`TenantConfig` records for tenants with
             non-default priority or a query quota; unknown tenants are
             admitted with defaults (priority 0, unlimited).
-        scheduler: Default campaign scheduler mode name (validated).
         max_active: Concurrently *running* jobs; queued jobs beyond it
             wait in PENDING, admitted highest tenant priority first.
             Defaults to ``max(2, n_workers)``.
@@ -783,7 +324,6 @@ class FoundryDaemon:
         socket: str | None = None,
         n_workers: int | None = None,
         tenants=(),
-        scheduler: str = "stealing",
         max_active: int | None = None,
         name: str | None = None,
     ):
@@ -794,11 +334,6 @@ class FoundryDaemon:
         self.clock = time.monotonic
         self.root.mkdir(parents=True, exist_ok=True)
         self.address = socket or default_address() or str(self.root / "daemon.sock")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}"
-            )
-        self.scheduler = scheduler
         n = n_workers if n_workers is not None else default_worker_count()
         self.fleet = WorkerFleet(n)
         if max_active is None:
@@ -842,23 +377,6 @@ class FoundryDaemon:
             max_per_minute=config.max_queries_per_minute,
         )
 
-    def tenant(self, name: str) -> TenantConfig:
-        return self.tenants.get(name) or TenantConfig(name=name)
-
-    def submit_bucket(self, tenant: TenantConfig) -> TokenBucket | None:
-        """The tenant's submission-rate bucket, or None when unlimited.
-        Keyed by file path under the (possibly shared) root, so every
-        daemon and gateway on the root debits one tenant-wide limit."""
-        if tenant.max_submits_per_minute is None:
-            return None
-        return TokenBucket(
-            self.root / "tenants" / f"{tenant.name}.submits",
-            tenant.max_submits_per_minute,
-            tenant=tenant.name,
-            kind="submission",
-            clock=self.clock,
-        )
-
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> int:
@@ -879,7 +397,8 @@ class FoundryDaemon:
         self._listener = bind(self.address)
         self._listener.settimeout(POLL_SECONDS)
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-daemon-accept", daemon=True
+            target=serve_frames, name="repro-daemon-accept",
+            args=(self._listener, self, self._stop_event), daemon=True,
         )
         self._accept_thread.start()
         return swept
@@ -1181,50 +700,7 @@ class FoundryDaemon:
                 self._state_cond.notify_all()
         return True
 
-    # -- the socket front door -------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stop_event.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket_module.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_conn, args=(conn,), daemon=True
-            ).start()
-
-    def _serve_conn(self, conn) -> None:
-        try:
-            while not self._stop_event.is_set():
-                frame = recv_frame(conn)
-                if frame is None:
-                    return
-                op = frame.get("op")
-                handler = getattr(self, f"_op_{op}", None)
-                if handler is None:
-                    send_frame(conn, {
-                        "ok": False, "kind": "ProtocolError",
-                        "error": f"unknown op {op!r}",
-                    })
-                    continue
-                try:
-                    handler(conn, frame)
-                except (BrokenPipeError, ConnectionResetError):
-                    return
-                except Exception as exc:
-                    send_frame(conn, {
-                        "ok": False, "kind": type(exc).__name__,
-                        "error": str(exc),
-                    })
-        except (ProtocolError, OSError):
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+    # -- operations (dispatched by protocol.serve_frames) -------------------
 
     def _op_submit(self, conn, frame) -> None:
         job = decode_payload(frame["job"])

@@ -55,22 +55,23 @@ from __future__ import annotations
 
 import hashlib
 import os
-import socket as socket_module
 import threading
 import time
 from pathlib import Path
 
 from repro.service.daemon import DaemonUnavailable, derive_job_id
 from repro.service.protocol import (
+    Hangup,
     ProtocolError,
     bind,
     connect,
     decode_payload,
     recv_frame,
     send_frame,
+    serve_frames,
 )
 from repro.service.scheduler import POLL_SECONDS
-from repro.service.tenants import TenantConfig, TokenBucket
+from repro.service.tenants import TenantDirectory
 
 #: Environment variable naming the gateway's backend list
 #: (comma-separated daemon addresses).
@@ -97,12 +98,6 @@ class BackendDown(RuntimeError):
     lost — a PENDING job re-routes, a RUNNING one resumes from its
     journal when its daemon restarts (or when explicitly resubmitted,
     which re-routes it as deliberate operator intent)."""
-
-
-class _Hangup(Exception):
-    """Internal: close the client connection without an error frame
-    (a torn relay must look like a torn stream so the client's
-    reconnect/resume logic engages, not its error path)."""
 
 
 def rendezvous_backend(job_id: str, backends) -> str:
@@ -141,7 +136,7 @@ class GatewayJob:
         self.stranded = False
 
 
-class FoundryGateway:
+class FoundryGateway(TenantDirectory):
     """Front balancer over N foundry daemons sharing one root.
 
     Args:
@@ -201,25 +196,6 @@ class FoundryGateway:
         self._health_thread = None
         self._started = False
 
-    # -- tenants -----------------------------------------------------------
-
-    def tenant(self, name: str) -> TenantConfig:
-        return self.tenants.get(name) or TenantConfig(name=name)
-
-    def submit_bucket(self, tenant: TenantConfig) -> TokenBucket | None:
-        """The tenant's submission-rate bucket — the same file a
-        backend daemon on this root would debit, so the limit is
-        tenant-wide however the submission arrives."""
-        if tenant.max_submits_per_minute is None:
-            return None
-        return TokenBucket(
-            self.root / "tenants" / f"{tenant.name}.submits",
-            tenant.max_submits_per_minute,
-            tenant=tenant.name,
-            kind="submission",
-            clock=self.clock,
-        )
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
@@ -237,7 +213,8 @@ class FoundryGateway:
         self._listener = bind(self.address)
         self._listener.settimeout(POLL_SECONDS)
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-gateway-accept",
+            target=serve_frames, name="repro-gateway-accept",
+            args=(self._listener, self, self._stop_event),
             daemon=True,
         )
         self._accept_thread.start()
@@ -485,54 +462,7 @@ class FoundryGateway:
                 f"{frame['job_id']} ({type(exc).__name__}: {exc})"
             ) from exc
 
-    # -- the socket front door ---------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stop_event.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket_module.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_conn, args=(conn,), daemon=True
-            ).start()
-
-    def _serve_conn(self, conn) -> None:
-        try:
-            while not self._stop_event.is_set():
-                frame = recv_frame(conn)
-                if frame is None:
-                    return
-                op = frame.get("op")
-                handler = getattr(self, f"_op_{op}", None)
-                if handler is None:
-                    send_frame(conn, {
-                        "ok": False, "kind": "ProtocolError",
-                        "error": f"unknown op {op!r}",
-                    })
-                    continue
-                try:
-                    handler(conn, frame)
-                except _Hangup:
-                    return
-                except (BrokenPipeError, ConnectionResetError):
-                    return
-                except Exception as exc:
-                    send_frame(conn, {
-                        "ok": False, "kind": type(exc).__name__,
-                        "error": str(exc),
-                    })
-        except (ProtocolError, OSError):
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    # -- operations --------------------------------------------------------
+    # -- operations (dispatched by protocol.serve_frames) -------------------
 
     def _op_submit(self, conn, frame) -> None:
         with self._lock:
@@ -622,12 +552,12 @@ class FoundryGateway:
             while True:
                 reply = recv_frame(back)
                 if reply is None:
-                    raise _Hangup()
+                    raise Hangup()
                 send_frame(conn, reply)
                 if "end" in reply or not reply.get("ok", True):
                     return
         except (OSError, ProtocolError) as exc:
-            raise _Hangup() from exc
+            raise Hangup() from exc
         finally:
             if back is not None:
                 try:

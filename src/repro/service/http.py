@@ -324,6 +324,10 @@ class _HTTPHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-foundry-http/1"
+    # Replies go out as two writes (headers, body): with Nagle on, a
+    # kept-alive connection would wait out the client's delayed ACK
+    # (~40 ms) on every request.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
 

@@ -5,7 +5,8 @@ work — a whole attack campaign (:class:`CampaignJob`), a fleet
 provisioning pass (:class:`ProvisioningJob`) or a run of registered
 experiments (:class:`ExperimentJob`).  Jobs carry no behaviour: the
 :class:`~repro.service.service.FoundryService` validates them up front
-at ``submit`` time and executes them through the scheduler, emitting
+at ``submit`` time and executes them through the one supervised
+scheduler (:mod:`~repro.service.scheduler`), emitting
 one :class:`TaskEvent` per completed task and moving the handle
 through the :class:`JobStatus` lifecycle
 (``PENDING -> RUNNING -> COMPLETED`` / ``FAILED`` / ``CANCELLED``).
@@ -53,8 +54,10 @@ DEFAULT_TASK_RETRIES = 3
 #: a genuinely frozen process does.
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 
-#: The scheduler modes a campaign job may request.
-SCHEDULERS = ("stealing", "static")
+#: The scheduler modes a campaign job may request (one: the
+#: work-stealing supervisor; the field stays so journaled jobs keep
+#: their ids).
+SCHEDULERS = ("stealing",)
 
 
 class JobStatus(enum.Enum):
@@ -221,11 +224,10 @@ class CampaignJob:
             job resumes from the finished cells bit-identically; a
             journal written by a *different* cell list is rejected with
             :class:`JournalMismatch`.
-        scheduler: ``"stealing"`` (shared task queue, workers pull as
-            they free up — the default) or ``"static"`` (contiguous
-            pre-assigned shards; the naive baseline the imbalanced-fleet
-            benchmark guards against).  None inherits the service's
-            default.
+        scheduler: None or ``"stealing"`` — the one scheduler (a
+            shared task queue that workers pull from as they free up).
+            Kept because the job's ``repr`` derives its daemon job id,
+            so jobs journaled with the field still attach and resume.
     """
 
     cells: tuple = ()

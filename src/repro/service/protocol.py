@@ -17,6 +17,11 @@ default, ``<root>/daemon.sock``) or ``host:port`` (TCP, for one lab
 network sharing a daemon).  ``REPRO_SERVICE_SOCKET`` names the default
 address for both the daemon and every client;
 ``REPRO_SERVICE_TENANT`` names the client's default tenant.
+
+The daemon and the gateway serve frames through one loop,
+:func:`serve_frames`.  TCP connections disable Nagle's algorithm on
+both ends: a reply is often several frames written back to back (an
+event replay), and would otherwise wait out a delayed ACK.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import os
 import pickle
 import socket
 import struct
+import threading
 
 from repro import faults
 
@@ -46,6 +52,12 @@ _HEADER = struct.Struct(">I")
 
 class ProtocolError(RuntimeError):
     """The peer sent bytes that are not a well-formed frame."""
+
+
+class Hangup(Exception):
+    """Raised by an op handler to close the client connection without
+    an error frame (a torn relay must look like a torn stream, so the
+    client's reconnect/resume logic engages, not its error path)."""
 
 
 def encode_payload(obj) -> str:
@@ -182,6 +194,7 @@ def connect(spec: str, timeout: float | None = None) -> socket.socket:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     else:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        _no_delay(sock)
     sock.settimeout(timeout)
     try:
         sock.connect(target)
@@ -189,6 +202,14 @@ def connect(spec: str, timeout: float | None = None) -> socket.socket:
         sock.close()
         raise
     return sock
+
+
+def _no_delay(sock: socket.socket) -> None:
+    """Disable Nagle on a TCP socket: a reply written as several frames
+    would otherwise wait out the peer's delayed ACK (~40 ms) per
+    request."""
+    if sock.family != socket.AF_UNIX:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def bind(spec: str) -> socket.socket:
@@ -221,3 +242,55 @@ def bind(spec: str) -> socket.socket:
         sock.bind(target)
     sock.listen(64)
     return sock
+
+
+def serve_frames(listener: socket.socket, server, stop_event) -> None:
+    """Accept connections on ``listener`` until ``stop_event`` is set
+    or the listener closes, serving each on its own thread: every
+    request frame dispatches to ``server._op_<op>(conn, frame)``.  An
+    unknown op, or a handler exception, answers with a typed error
+    frame and keeps the connection; :class:`Hangup` and a torn client
+    close it silently; a malformed frame costs only its connection."""
+    while not stop_event.is_set():
+        try:
+            conn, _ = listener.accept()
+        except socket.timeout:
+            continue
+        except OSError:
+            return
+        _no_delay(conn)
+        threading.Thread(
+            target=_serve_conn, args=(conn, server, stop_event), daemon=True
+        ).start()
+
+
+def _serve_conn(conn: socket.socket, server, stop_event) -> None:
+    try:
+        while not stop_event.is_set():
+            frame = recv_frame(conn)
+            if frame is None:
+                return
+            op = frame.get("op")
+            handler = getattr(server, f"_op_{op}", None)
+            if handler is None:
+                send_frame(conn, {
+                    "ok": False, "kind": "ProtocolError",
+                    "error": f"unknown op {op!r}",
+                })
+                continue
+            try:
+                handler(conn, frame)
+            except (Hangup, BrokenPipeError, ConnectionResetError):
+                return
+            except Exception as exc:
+                send_frame(conn, {
+                    "ok": False, "kind": type(exc).__name__,
+                    "error": str(exc),
+                })
+    except (ProtocolError, OSError):
+        pass
+    finally:
+        try:
+            conn.close()
+        except OSError:
+            pass

@@ -1,25 +1,40 @@
-"""Work-stealing task scheduler with worker supervision.
+"""Supervised task execution: one supervisor, one task graph.
 
-The campaign layer's original sharding mapped whole cells over a
-process pool — a static split that leaves workers idle whenever one
-die's attack dominates the wall clock, and serialises provisioning
-ahead of the whole attack phase.  This scheduler replaces that with a
-work-conserving pull model: every unit of work (a die calibration, an
-attack cell) is a task in one shared ready pool, the next task goes to
-whichever worker frees up first, and attack cells that need a die's
-calibration are *gated* — released the instant their die's
-provisioning task completes, while straggler dies are still
-calibrating on other workers.  Imbalanced fleets therefore pack
-tightly (the dominant cell occupies one worker while the others drain
-the rest), and provisioning overlaps the attack phase instead of
-preceding it.
+Every unit of work — a die calibration, an attack cell, a sub-task of
+a partitioned cell, an experiment — runs on supervised worker
+processes through the same two pieces, whichever front door submitted
+it:
+
+* :class:`Supervisor` — a thread-free executor.  It owns the worker
+  slots, one shared ready pool, the per-task attempt ledger, the
+  tenant charge-reservation commit/rollback and the barren-respawn
+  bound, all under one lock, and :meth:`~Supervisor.step` runs one
+  cycle: dispatch ready items to idle workers, wait, settle results
+  into per-job *ticket* mailboxes, then sweep dead, hung and torn
+  workers.
+* :func:`run_graph` — one job's task graph: provisioning tasks first,
+  attack cells *gated* on their die's calibration (released the
+  instant its last provisioning task lands, while straggler dies are
+  still calibrating), partitioned cells fanned out as sub-tasks and
+  assembled, and the job's ``max_inflight`` bound.
+
+:func:`run_stealing` is the in-process path: a private supervisor that
+the job's consumer drives by pulling events, so no thread lives in the
+parent when workers fork or respawn (the same fork-safety argument as
+the engine kernel's per-call thread teams).  The daemon's
+:class:`~repro.service.daemon.WorkerFleet` is the same supervisor with
+a router thread looping on ``step()``, shared by every job the daemon
+admits.  Work conservation is the point of the pull model: the next
+task goes to whichever worker frees up first, so imbalanced fleets
+pack tightly (the dominant cell occupies one worker while the others
+drain the rest) and provisioning overlaps the attack phase.
 
 Supervision: each worker is connected to the parent by its own duplex
 pipe, so the parent always knows exactly which task each worker holds
 — a dead worker (exit code) or a hung one (its heartbeat thread silent
 for ``REPRO_TASK_TIMEOUT`` seconds) is killed, respawned, and its task
-requeued, and the job only fails once one task has consumed the whole
-``REPRO_TASK_RETRIES`` attempt budget
+requeued, and a job only fails once one of its tasks has consumed the
+whole ``REPRO_TASK_RETRIES`` attempt budget
 (:class:`~repro.service.jobs.TaskRetriesExhausted`, carrying the
 per-attempt failure notes).  Per-worker pipes are what make this
 airtight: assignment is parent-side state (no pickup-message race to
@@ -53,24 +68,20 @@ every oracle/tenant charge committed in replay order), so the report,
 bit-identical to the unpartitioned cell across partition sizes, worker
 counts and backends.  Sub-task completions are internal — only
 provision and cell (assembly) results are yielded.
-
-The ``static`` mode pre-assigns contiguous cell shards per worker
-(what naive sharding would do) and exists as the baseline the
-imbalanced-fleet benchmark in ``benchmarks/test_bench_campaign.py``
-guards the work-stealing speedup against; it keeps the original
-unsupervised team (a dead worker fails the job), which is part of what
-the baseline measures against.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import os
 import queue as queue_module
 import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing import connection
 
 from repro import faults
 from repro.service.jobs import (
@@ -180,49 +191,39 @@ class AssembleTask(CellTask):
         return self.cell.execute_scripted(self.script)
 
 
-def _worker_loop(tasks, task_queue, result_queue, backend, store_path) -> None:
-    """One worker process: pull tasks until the sentinel (stealing mode,
-    ``task_queue``) or the pre-assigned shard runs dry (static mode,
-    ``tasks``), reporting each outcome on ``result_queue``.
+@dataclass(frozen=True)
+class TaskContext:
+    """Everything a worker must (re-)initialise to run a task: the
+    job's backend and shared calibration store (the campaign layer's
+    ``_worker_init`` arguments) plus, on the daemon, the tenant's
+    meter.  Workers re-init only when the context changes hands, so
+    consecutive tasks of one job pay it once.  The in-process path's
+    context has no meter."""
 
-    Worker initialisation matches the campaign layer exactly — a
-    pristine private engine of the requested backend, reading through
-    the campaign's shared calibration store — so reports cannot depend
-    on which worker ran a cell.
-    """
-    from repro.campaigns.campaign import _worker_init
+    backend: str | None = None
+    store_path: str | None = None
+    tenant: str = "default"
+    meter_path: str | None = None
+    max_queries: int | None = None
+    max_queries_per_minute: float | None = None
 
-    _worker_init(backend, store_path)
-    shard = list(tasks or [])
-    while True:
-        if task_queue is not None:
-            task = task_queue.get()
-        else:
-            task = shard.pop(0) if shard else None
-        if task is None:
-            return
-        start = time.perf_counter()
-        try:
-            payload = task.run()
-        except BaseException:
-            result_queue.put(
-                ("error", task, None, time.perf_counter() - start,
-                 traceback.format_exc())
-            )
-            continue
-        result_queue.put(
-            ("done", task, payload, time.perf_counter() - start, None)
+    def meter(self):
+        """The tenant's :class:`~repro.service.tenants.TenantMeter`, or
+        None for an unmetered context."""
+        if self.meter_path is None:
+            return None
+        from repro.service.tenants import TenantMeter
+
+        return TenantMeter(
+            self.meter_path,
+            self.max_queries,
+            tenant=self.tenant,
+            max_per_minute=self.max_queries_per_minute,
         )
 
 
-def _context():
-    return multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
-
-
 # ---------------------------------------------------------------------------
-# Supervised workers (the stealing scheduler and the daemon fleet)
+# Supervised workers
 # ---------------------------------------------------------------------------
 
 
@@ -283,24 +284,43 @@ def run_task(task):
     return ("done", task, payload, time.perf_counter() - start, None)
 
 
-def _supervised_worker_main(conn, heartbeat, backend, store_path) -> None:
-    """One supervised worker: receive tasks on its private duplex pipe,
-    send one result tuple back per task, exit on the None sentinel (or
-    the parent's end of the pipe closing).  Initialisation matches the
-    campaign layer exactly, so reports cannot depend on which worker —
-    or which *attempt* — ran a cell."""
+def _worker_main(conn, heartbeat) -> None:
+    """One supervised worker: receive ``(ticket, context, task,
+    task_id)`` items on its private duplex pipe, send one result tuple
+    back per item, exit on the None sentinel (or the parent's end of
+    the pipe closing).
+
+    The worker re-initialises whenever the context changes: a pristine
+    private engine of the job's backend reading through its shared
+    calibration store, plus the tenant meter install — so reports
+    cannot depend on which worker, or which *attempt*, ran a task.
+    Before a metered task runs, its charge reservation opens under
+    ``task_id`` (see :meth:`~repro.service.tenants.TenantMeter.
+    begin_task`); the *parent* settles it — commit on the result,
+    rollback before a retry — because the parent is the only survivor
+    of every crash schedule.
+    """
+    from repro.attacks.oracle import install_tenant_meter
     from repro.campaigns.campaign import _worker_init
 
-    _worker_init(backend, store_path)
     start_heartbeat(heartbeat)
+    current = meter = None
     while True:
         try:
-            task = conn.recv()
+            item = conn.recv()
         except (EOFError, OSError):
             return
-        if task is None:
+        if item is None:
             return
-        conn.send(run_task(task))
+        ticket, context, task, task_id = item
+        if context != current:
+            _worker_init(context.backend, context.store_path)
+            meter = context.meter()
+            install_tenant_meter(meter)
+            current = context
+        if meter is not None:
+            meter.begin_task(task_id)
+        conn.send((ticket,) + run_task(task))
         if faults.ENABLED and faults.fire("worker.torn_conn"):
             faults.tear_connection(conn)
 
@@ -337,13 +357,13 @@ class WorkerSlot:
             pass
 
 
-def spawn_worker(ctx, target, args) -> WorkerSlot:
-    """Fork one supervised worker connected by a fresh duplex pipe.
-    ``target`` receives ``(child_conn, heartbeat, *args)``."""
+def spawn_worker(ctx) -> WorkerSlot:
+    """Fork one supervised worker (:func:`_worker_main`) connected by a
+    fresh duplex pipe."""
     parent_conn, child_conn = ctx.Pipe()
     heartbeat = ctx.Value("d", time.monotonic(), lock=False)
     proc = ctx.Process(
-        target=target, args=(child_conn, heartbeat) + tuple(args), daemon=True
+        target=_worker_main, args=(child_conn, heartbeat), daemon=True
     )
     proc.start()
     child_conn.close()  # ours alone now lives in the child
@@ -375,278 +395,358 @@ def kill_slot(slot: WorkerSlot, note_kill: str | None) -> str:
     return f"worker died with exit code {exitcode}"
 
 
-def reap_slot(slot: WorkerSlot, note_hung: str | None) -> str:
-    """:func:`kill_slot` plus closing the parent's pipe end — for
-    callers with nothing left to drain."""
-    note = kill_slot(slot, note_hung)
-    slot.close()
-    return note
+class _Item:
+    """One unit of work in flight: the submitting job's ticket, the
+    worker context, the task, and the id its charge reservation and
+    retry accounting live under."""
+
+    __slots__ = ("ticket", "context", "task", "task_id")
+
+    def __init__(self, ticket: int, context: TaskContext, task):
+        self.ticket = ticket
+        self.context = context
+        self.task = task
+        self.task_id = f"{ticket}:{task.key()!r}"
 
 
-def wait_readable(slots, timeout: float):
-    """The slots whose pipes are readable (a result, or EOF from a
-    death) within ``timeout`` seconds."""
-    from multiprocessing import connection
+class Supervisor:
+    """A self-healing worker team and its shared ready pool, with no
+    thread of its own: whoever calls :meth:`step` drives it.
 
-    by_conn = {slot.conn: slot for slot in slots}
-    try:
-        readable = connection.wait(list(by_conn), timeout=timeout)
-    except OSError:  # a pipe torn down mid-wait: the sweep will see it
-        return []
-    return [by_conn[conn] for conn in readable]
-
-
-def _collect(workers, result_queue, n_pending):
-    """Yield ``(task, payload, seconds)`` for every pending task,
-    failing the job if a worker dies or a task raises."""
-    while n_pending:
-        try:
-            kind, task, payload, seconds, error = result_queue.get(
-                timeout=POLL_SECONDS
-            )
-        except queue_module.Empty:
-            dead = [w for w in workers if not w.is_alive() and w.exitcode]
-            if dead:
-                raise JobFailed(
-                    f"worker died with exit code {dead[0].exitcode} "
-                    f"({n_pending} tasks outstanding)"
-                )
-            continue
-        if kind == "error":
-            raise JobFailed(f"task {task.label()!r} failed:\n{error}")
-        n_pending -= 1
-        yield task, payload, seconds
-
-
-def _shutdown(workers, graceful: bool) -> None:
-    """Reap the worker team: join finished workers, terminate stragglers
-    (a cancelled job must not leave orphans behind)."""
-    for worker in workers:
-        if graceful:
-            worker.join(timeout=5.0)
-        if worker.is_alive():
-            worker.terminate()
-            worker.join(timeout=5.0)
-
-
-def run_stealing(cell_tasks, provision_tasks, cell_triples, n_workers,
-                 backend, store_path, partitions=None):
-    """Drive a supervised work-stealing round: yields one ``(task,
-    payload, seconds)`` per completed provision or cell task, in
-    completion order.
-
-    ``cell_triples`` maps cell index -> set of provisioning triples the
-    cell is gated on; gated cells release the moment their last triple
-    completes, so early-calibrated dies unblock their attack cells
-    while stragglers are still calibrating.
-
-    ``partitions`` maps cell index -> partition plan (see the module
-    docstring): a partitioned cell releases as its plan's initial
-    :class:`SubTask` fan-out instead of one :class:`CellTask`, absorbed
-    results may fan out further (GA generations), and the cell
-    completes via the :class:`AssembleTask` replay once its plan has no
-    sub-task outstanding.  Sub-task completions are internal — they are
-    never yielded.
-
-    A worker that dies or hangs mid-task is reaped, respawned, and its
-    task requeued at the *front* of the ready pool (retries first:
-    downstream gating may be waiting on it); the round fails with
-    :class:`~repro.service.jobs.TaskRetriesExhausted` only once one
-    task has consumed its whole ``REPRO_TASK_RETRIES`` budget.  A task
-    that *raises* still fails the round immediately — tasks are pure
-    functions of their pickled selves, so a Python exception would
-    simply raise again on retry.
+    Jobs open a *ticket* (:meth:`open_ticket`) and :meth:`submit` items
+    under it; every result lands in that ticket's mailbox as a
+    ``(kind, task, payload, seconds, error)`` tuple, and a closed
+    ticket's stragglers are dropped.  A dead or hung worker's item has
+    its partial tenant charges rolled back and is requeued at the
+    front of the pool, until one task has consumed its whole attempt
+    budget: then its own mailbox receives an ``"exhausted"`` message
+    carrying the per-attempt notes, and every other ticket keeps
+    running.  Slot state is touched only by the stepping thread; the
+    pool, the attempt ledger and the mailboxes sit under one lock, so
+    other threads may submit and close tickets concurrently.
     """
-    partitions = dict(partitions or {})
-    blocked = {
-        task.index: set(cell_triples.get(task.index, ()))
-        for task in cell_tasks
-    }
-    waiters: dict[tuple, list] = {}
-    for task in cell_tasks:
-        for triple in blocked[task.index]:
-            waiters.setdefault(triple, []).append(task)
-    n_results = len(cell_tasks) + len(provision_tasks)
-    retry_budget = task_retry_budget()
-    watchdog = task_timeout_seconds()
-    outstanding: dict[int, int] = {}  # cell index -> unabsorbed sub-tasks
-    ready = deque(provision_tasks)  # provisioning first: it unblocks cells
 
-    def release(task):
-        """An unblocked cell enters the pool — as itself, or, when a
-        partition plan covers it, as the plan's initial sub-tasks."""
-        plan = partitions.get(task.index)
-        if plan is None:
-            ready.append(task)
-            return
-        parts = plan.initial_parts()
-        outstanding[task.index] = len(parts)
-        for part_id, part in parts:
-            ready.append(SubTask(task.index, part_id, task.cell, part))
-
-    for task in cell_tasks:
-        if not blocked[task.index]:
-            release(task)
-    ctx = _context()
-
-    def spawn():
-        return spawn_worker(
-            ctx, _supervised_worker_main, (backend, store_path)
+    def __init__(self, n_workers: int):
+        self.n_workers = n_workers
+        self.slots: list[WorkerSlot] = []
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
         )
+        self._ready: deque = deque()
+        self._attempts: dict[str, list] = {}
+        self._mailboxes: dict[int, queue_module.Queue] = {}
+        self._tickets = itertools.count(1)
+        self._lock = threading.Lock()
+        self._retry_budget = task_retry_budget()
+        self._watchdog = task_timeout_seconds()
+        # Workers dying while idle (at startup, before they hold a task)
+        # consume no task's retry budget, so bound deaths without any
+        # result separately or a crash-at-start would respawn forever.
+        self._barren_respawns = 0
+        self._wake_r: int | None = None  # extra fd step() waits on
 
-    # Partitioned rounds hold more units than results, so size the team
-    # by the requested width rather than the (smaller) result count.
-    n_units = n_results if not partitions else max(n_results, n_workers)
-    slots = [spawn() for _ in range(max(1, min(n_workers, n_units)))]
-    attempts: dict[tuple, list] = {}
-    done = 0
-    graceful = False
-    # Workers dying before they ever hold a task (a broken backend
-    # import, a bad store path) never consume any task's retry budget,
-    # so bound them separately or a crash-at-init would respawn forever.
-    respawns_without_progress = 0
-    max_barren_respawns = 3 * len(slots) + retry_budget
+    @property
+    def workers(self) -> list:
+        """The live worker processes (diagnostics and tests)."""
+        return [slot.proc for slot in self.slots]
 
-    def settle(slot, message):
-        """One result message: free the slot, unblock gated cells.
-        Returns the event to yield, or None for an internal (sub-task)
-        completion."""
-        nonlocal done, respawns_without_progress
-        respawns_without_progress = 0
-        kind, task, payload, seconds, error = message
-        slot.item = None
-        if kind == "error":
-            raise JobFailed(f"task {task.label()!r} failed:\n{error}")
-        if isinstance(task, SubTask):
-            plan = partitions[task.index]
-            new_parts = plan.absorb(task.part_id, payload)
-            outstanding[task.index] += len(new_parts) - 1
-            for part_id, part in new_parts:
-                ready.append(SubTask(task.index, part_id, task.cell, part))
-            if outstanding[task.index] == 0:
-                ready.append(
-                    AssembleTask(task.index, task.cell, plan.script())
-                )
+    def start(self) -> None:
+        """Fork the workers."""
+        self.slots = [spawn_worker(self._mp) for _ in range(self.n_workers)]
+
+    # -- tickets ------------------------------------------------------------
+
+    def open_ticket(self) -> tuple[int, queue_module.Queue]:
+        with self._lock:
+            ticket = next(self._tickets)
+            mailbox: queue_module.Queue = queue_module.Queue()
+            self._mailboxes[ticket] = mailbox
+        return ticket, mailbox
+
+    def close_ticket(self, ticket: int) -> None:
+        """Forget a ticket: its mailbox, its queued items and their
+        retry history (no mailbox will ever collect them)."""
+        with self._lock:
+            self._mailboxes.pop(ticket, None)
+            self._ready = deque(
+                item for item in self._ready if item.ticket != ticket
+            )
+            prefix = f"{ticket}:"
+            for task_id in [t for t in self._attempts if t.startswith(prefix)]:
+                del self._attempts[task_id]
+
+    def submit(self, ticket: int, context: TaskContext, task) -> None:
+        with self._lock:
+            self._ready.append(_Item(ticket, context, task))
+
+    def receive(self, mailbox):
+        """The next message for ``mailbox``, stepping the team once
+        while it is empty; None when nothing arrived yet."""
+        if mailbox.empty():
+            self.step(POLL_SECONDS)
+        try:
+            return mailbox.get_nowait()
+        except queue_module.Empty:
             return None
-        done += 1
-        if isinstance(task, ProvisionTask):
-            for waiter in waiters.pop(task.triple, ()):
-                pending = blocked[waiter.index]
-                pending.discard(task.triple)
-                if not pending:
-                    release(waiter)
-        return task, payload, seconds
 
-    try:
-        while done < n_results:
-            for slot in slots:  # dispatch to every idle worker
-                if slot.broken or slot.item is not None or not ready:
+    def _deliver_locked(self, ticket: int, message) -> None:
+        mailbox = self._mailboxes.get(ticket)
+        if mailbox is not None:
+            mailbox.put(message)
+
+    # -- one supervision cycle ----------------------------------------------
+
+    def step(self, timeout: float) -> None:
+        """Dispatch ready items to idle workers, wait up to ``timeout``
+        seconds for results, settle them, then sweep: kill, drain, reap
+        and respawn every dead, hung or torn worker and reclaim its
+        item.  Raises :class:`JobFailed` when workers keep dying
+        without ever completing a task."""
+        with self._lock:
+            for slot in self.slots:
+                if slot.broken or slot.item is not None or not self._ready:
                     continue
-                task = ready.popleft()
+                item = self._ready.popleft()
                 try:
-                    slot.conn.send(task)
+                    slot.conn.send(
+                        (item.ticket, item.context, item.task, item.task_id)
+                    )
                 except (OSError, ValueError):
-                    ready.appendleft(task)
+                    self._ready.appendleft(item)
                     # The pipe is torn even if the process looks healthy:
                     # flag it so the sweep reaps it, or an alive worker
                     # with a beating heartbeat would sit here looking
                     # idle forever (the single-worker livelock).
                     slot.broken = True
                     continue
-                slot.item = task
-            for slot in wait_readable(slots, timeout=POLL_SECONDS):
+                slot.item = item
+        waitable = [slot.conn for slot in self.slots]
+        if self._wake_r is not None:
+            waitable.append(self._wake_r)
+        try:
+            readable = connection.wait(waitable, timeout=timeout)
+        except OSError:  # a pipe torn down mid-wait: the sweep will see it
+            readable = []
+        for conn in readable:
+            if conn == self._wake_r:  # the wake pipe is a raw fd
                 try:
-                    message = slot.conn.recv()
-                except (EOFError, OSError):
-                    slot.broken = True  # the sweep below reclaims it
-                    continue
-                event = settle(slot, message)
-                if event is not None:
-                    yield event
-            for i, slot in enumerate(slots):  # supervision sweep
-                hung = slot.stale(watchdog)
-                if slot.proc.is_alive() and not hung and not slot.broken:
-                    continue
-                if hung:
-                    kill_note = (
-                        f"worker hung (heartbeat silent > {watchdog:g}s); "
-                        f"killed"
-                    )
-                elif slot.broken and slot.proc.is_alive():
-                    kill_note = "worker pipe broke; killed"
-                else:
-                    kill_note = None
-                # Kill hung/broken-but-alive workers BEFORE draining:
-                # draining first races a late result into the pipe
-                # between drain and kill, and the task would settle AND
-                # requeue (double execution, double tenant charge).
-                # Dead workers keep the documented drain-before-reclaim
-                # order trivially — they cannot send anything new.
-                note = kill_slot(slot, kill_note)
-                try:
-                    while slot.conn.poll():
-                        event = settle(slot, slot.conn.recv())
-                        if event is not None:
-                            yield event
-                except (EOFError, OSError):
+                    os.read(self._wake_r, 4096)
+                except OSError:
                     pass
-                slot.close()
-                task, slot.item = slot.item, None
-                respawns_without_progress += 1
-                if respawns_without_progress > max_barren_respawns:
-                    raise JobFailed(
-                        f"workers died {respawns_without_progress} times "
-                        f"without completing a task (last: {note}); "
-                        f"giving up instead of respawning forever"
-                    )
-                slots[i] = spawn()
-                if task is not None:
-                    notes = attempts.setdefault(task.key(), [])
-                    notes.append(note)
-                    if len(notes) >= retry_budget:
-                        raise TaskRetriesExhausted(task.label(), notes)
-                    ready.appendleft(task)  # retry first: others may gate on it
-        for slot in slots:
-            if slot.proc.is_alive():
+                continue
+            slot = next(s for s in self.slots if s.conn is conn)
+            try:
+                message = slot.conn.recv()
+            except (EOFError, OSError):
+                slot.broken = True  # the sweep below reclaims it
+                continue
+            self._settle(slot, message)
+        for i, slot in enumerate(self.slots):
+            hung = slot.stale(self._watchdog)
+            if slot.proc.is_alive() and not hung and not slot.broken:
+                continue
+            if hung:
+                kill_note = (
+                    f"worker hung (heartbeat silent > {self._watchdog:g}s); "
+                    f"killed"
+                )
+            elif slot.broken and slot.proc.is_alive():
+                kill_note = "worker pipe broke; killed"
+            else:
+                kill_note = None
+            # Kill hung/broken-but-alive workers BEFORE draining:
+            # draining first races a late result into the pipe between
+            # drain and kill, and the task would settle AND requeue
+            # (double execution, double tenant charge).  Dead workers
+            # cannot send, so the post-kill drain still collects
+            # everything they reported before dying.
+            note = kill_slot(slot, kill_note)
+            try:
+                while slot.conn.poll():
+                    self._settle(slot, slot.conn.recv())
+            except (EOFError, OSError):
+                pass
+            slot.close()
+            self._reclaim(slot, note)
+            self._barren_respawns += 1
+            if self._barren_respawns > 3 * len(self.slots) + self._retry_budget:
+                raise JobFailed(
+                    f"workers died {self._barren_respawns} times without "
+                    f"completing a task (last: {note}); giving up instead "
+                    f"of respawning forever"
+                )
+            self.slots[i] = spawn_worker(self._mp)
+
+    def _settle(self, slot: WorkerSlot, message) -> None:
+        """One worker result: commit its charge reservation (the
+        charges stand — even for an ``"error"`` result, which spent
+        real measurements exactly as an in-process run would have) and
+        deliver it to the submitting ticket's mailbox."""
+        item, slot.item = slot.item, None
+        self._barren_respawns = 0
+        if item is not None:
+            meter = item.context.meter()
+            if meter is not None:
+                meter.commit_task(item.task_id)
+        with self._lock:
+            if item is not None:
+                self._attempts.pop(item.task_id, None)
+            self._deliver_locked(message[0], message[1:])
+
+    def _reclaim(self, slot: WorkerSlot, note: str) -> None:
+        """A dead or hung worker's item: roll back its partial tenant
+        charges, then requeue it first (other tasks may gate on it) —
+        or, once its attempt budget is spent, fail its own ticket."""
+        item, slot.item = slot.item, None
+        if item is None:
+            return
+        meter = item.context.meter()
+        if meter is not None:
+            meter.rollback_task(item.task_id)
+        with self._lock:
+            notes = self._attempts.setdefault(item.task_id, [])
+            notes.append(note)
+            if len(notes) < self._retry_budget:
+                self._ready.appendleft(item)
+                return
+            del self._attempts[item.task_id]
+            self._deliver_locked(
+                item.ticket, ("exhausted", item.task, None, 0.0, notes)
+            )
+
+    def shutdown(self, graceful: bool = True) -> None:
+        """Reap the team: sentinels and bounded joins when graceful,
+        then terminate stragglers (a cancelled job must not leave
+        orphans behind)."""
+        for slot in self.slots:
+            if graceful and slot.proc.is_alive():
                 try:
                     slot.conn.send(None)
                 except (OSError, ValueError):
                     pass
-        graceful = True
-    finally:
-        _shutdown([slot.proc for slot in slots], graceful)
-        for slot in slots:
+        for slot in self.slots:
+            if graceful:
+                slot.proc.join(timeout=5.0)
+            if slot.proc.is_alive():
+                slot.proc.terminate()
+                slot.proc.join(timeout=5.0)
             slot.close()
 
 
-def run_static(cell_tasks, n_workers, backend, store_path):
-    """Drive a static round: contiguous shards pre-assigned per worker.
+# ---------------------------------------------------------------------------
+# The task graph
+# ---------------------------------------------------------------------------
 
-    The naive baseline — no queue, no stealing: each worker executes
-    its slice of the cell list in order, so one dominant cell pins its
-    whole shard behind it.  Provisioning is not gated here; the caller
-    provisions (lockstep, parent-side) before sharding.
+
+def run_graph(executor, context: TaskContext, cell_tasks, provision_tasks,
+              cell_triples, max_inflight: int, partitions=None):
+    """Drive one job's tasks through ``executor`` (a
+    :class:`Supervisor`): yields ``(task, payload, seconds)`` per
+    completed provision or cell task, in completion order.
+
+    ``cell_triples`` maps cell index -> set of provisioning triples the
+    cell is gated on; a gated cell is released the moment its last
+    triple completes.  ``partitions`` maps cell index -> partition plan
+    (see the module docstring): a partitioned cell releases as its
+    plan's initial :class:`SubTask` fan-out, absorbed results may fan
+    out further (GA generations), and the cell completes via the
+    :class:`AssembleTask` replay once its plan has no sub-task
+    outstanding.  Sub-task completions are never yielded.
+
+    ``max_inflight`` bounds this job's concurrently submitted tasks
+    (its ``n_workers``): on a shared fleet it shares the workers fairly
+    between jobs and makes a 1-worker job's cells execute strictly
+    sequentially — the property per-tenant quota determinism rides on.
+    A task whose workers died or hung through its whole retry budget
+    raises :class:`~repro.service.jobs.TaskRetriesExhausted`; a task
+    that *raises* fails the job immediately — tasks are pure functions
+    of their pickled selves, so the exception would simply recur.
     """
-    tasks = list(cell_tasks)
-    n_workers = max(1, min(n_workers, len(tasks)))
-    chunk = (len(tasks) + n_workers - 1) // n_workers
-    shards = [tasks[i * chunk:(i + 1) * chunk] for i in range(n_workers)]
-    ctx = _context()
-    result_queue = ctx.Queue()
-    workers = [
-        ctx.Process(
-            target=_worker_loop,
-            args=(shard, None, result_queue, backend, store_path),
-            daemon=True,
-        )
-        for shard in shards
-        if shard
-    ]
-    for worker in workers:
-        worker.start()
+    partitions = partitions or {}
+    blocked = {
+        task: set(cell_triples.get(getattr(task, "index", None), ()))
+        for task in cell_tasks
+    }
+    waiters: dict[tuple, list] = {}
+    for task in cell_tasks:
+        for triple in blocked[task]:
+            waiters.setdefault(triple, []).append(task)
+    outstanding: dict[int, int] = {}  # cell index -> unabsorbed sub-tasks
+    ready = deque(provision_tasks)  # provisioning first: it unblocks cells
+
+    def fan_out(task, parts) -> None:
+        outstanding[task.index] = outstanding.get(task.index, 0) + len(parts)
+        for part_id, part in parts:
+            ready.append(SubTask(task.index, part_id, task.cell, part))
+
+    def release(task) -> None:
+        plan = partitions.get(getattr(task, "index", None))
+        if plan is None:
+            ready.append(task)
+        else:
+            fan_out(task, plan.initial_parts())
+
+    for task in cell_tasks:
+        if not blocked[task]:
+            release(task)
+    total = len(cell_tasks) + len(provision_tasks)
+    ticket, mailbox = executor.open_ticket()
+    inflight = done = 0
+    try:
+        while done < total:
+            while ready and inflight < max_inflight:
+                executor.submit(ticket, context, ready.popleft())
+                inflight += 1
+            message = executor.receive(mailbox)
+            if message is None:
+                continue
+            kind, task, payload, seconds, error = message
+            inflight -= 1
+            if kind == "exhausted":
+                raise TaskRetriesExhausted(task.label(), error)
+            if kind == "error":
+                raise JobFailed(f"task {task.label()!r} failed:\n{error}")
+            if isinstance(task, SubTask):
+                plan = partitions[task.index]
+                outstanding[task.index] -= 1
+                fan_out(task, plan.absorb(task.part_id, payload))
+                if outstanding[task.index] == 0:
+                    ready.append(
+                        AssembleTask(task.index, task.cell, plan.script())
+                    )
+                continue
+            done += 1
+            if isinstance(task, ProvisionTask):
+                for waiter in waiters.pop(task.triple, ()):
+                    pending = blocked[waiter]
+                    pending.discard(task.triple)
+                    if not pending:
+                        release(waiter)
+            yield task, payload, seconds
+    finally:
+        executor.close_ticket(ticket)
+
+
+def run_stealing(cell_tasks, provision_tasks, cell_triples, n_workers,
+                 backend, store_path, partitions=None):
+    """Run one job's task graph (see :func:`run_graph`) on a private
+    :class:`Supervisor` of up to ``n_workers`` workers, stepped by the
+    consumer of the returned generator — the parent stays
+    single-threaded whenever a worker forks or respawns.  The team is
+    reaped when the generator finishes, fails or is closed."""
+    n_results = len(cell_tasks) + len(provision_tasks)
+    # Partitioned rounds hold more units than results, so size the team
+    # by the requested width rather than the (smaller) result count.
+    n_units = max(n_results, n_workers) if partitions else n_results
+    supervisor = Supervisor(max(1, min(n_workers, n_units)))
+    supervisor.start()
     graceful = False
     try:
-        yield from _collect(workers, result_queue, len(tasks))
+        yield from run_graph(
+            supervisor, TaskContext(backend, store_path), cell_tasks,
+            provision_tasks, cell_triples, supervisor.n_workers, partitions,
+        )
         graceful = True
     finally:
-        _shutdown(workers, graceful)
+        supervisor.shutdown(graceful)

@@ -4,7 +4,7 @@
 engine now talks to: campaigns, fleet provisioning passes and
 experiment-registry runs are all :mod:`~repro.service.jobs` submitted
 through one API and executed behind one scheduler.  A submitted job is
-validated up front (worker counts, scheduler names, attack names,
+validated up front (worker counts, scheduler name, attack names,
 journal binding — all rejected before any work starts) and returns a
 :class:`JobHandle`:
 
@@ -18,11 +18,15 @@ journal binding — all rejected before any work starts) and returns a
 * ``handle.cancel()`` — stop scheduling, reap the worker team, keep
   everything already journaled.
 
-The handle's consumer drives the job: no scheduler thread lives in the
-parent process, so when the scheduler forks its worker team the parent
-is single-threaded — the same fork-safety argument as the engine
-kernel's per-call thread teams.  Campaign reports are bit-identical to
-a sequential run whatever the worker count, backend or scheduler mode
+The handle's consumer drives the job: multi-worker jobs run on a
+private :class:`~repro.service.scheduler.Supervisor` that the consumer
+steps, so no thread lives in the parent process and it is
+single-threaded whenever a worker forks or respawns — the same
+fork-safety argument as the engine kernel's per-call thread teams.
+The daemon runs the identical task graph on its persistent fleet by
+overriding the executor hook (``_run_tasks``) and two policy hooks
+(``_runs_inline``, ``_clear_lock_debris``).  Campaign reports are
+bit-identical to a sequential run whatever the worker count or backend
 (cells rebuild their chips and seed their own RNGs; calibrations are
 deterministic values read through the shared store), and a campaign
 with a journal resumes from its finished cells after a kill — both
@@ -34,6 +38,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
+from dataclasses import dataclass
 
 from repro.engine import CalibrationStore, get_default_engine, set_default_backend
 from repro.service.jobs import (
@@ -43,32 +48,22 @@ from repro.service.jobs import (
     JobFailed,
     JobStatus,
     ProvisioningJob,
-    SCHEDULERS,
     TaskEvent,
     default_worker_count,
     validate_worker_count,
 )
 from repro.service.journal import JobJournal, cells_fingerprint
-from repro.service.scheduler import (
-    CellTask,
-    ProvisionTask,
-    run_static,
-    run_stealing,
-)
+from repro.service.scheduler import CellTask, ProvisionTask, run_stealing
 
 
-def plan_campaign_tasks(todo, store, clear_locks: bool):
+def plan_campaign_tasks(todo, store):
     """Turn the remaining ``(index, cell)`` pairs into scheduler tasks.
 
     Returns ``(cell_tasks, provision_tasks, cell_triples)``:
     the cells as :class:`CellTask` records, one :class:`ProvisionTask`
     per calibration triple the cells declare that ``store`` does not
     already hold, and the gating map (cell index -> set of missing
-    triples the cell must wait for).  ``clear_locks`` clears each
-    missing triple's ``get_or_set`` lock up front — correct only when
-    the caller owns the store exclusively (the per-job service path);
-    the daemon shares one store across concurrent jobs and sweeps
-    debris at startup instead.
+    triples the cell must wait for).
     """
     from repro.campaigns.campaign import cell_triples as triples_of
 
@@ -78,9 +73,6 @@ def plan_campaign_tasks(todo, store, clear_locks: bool):
         t for t, hit in zip(triples, store.get_many(triples))
         if hit is None
     ]
-    if clear_locks:
-        for triple in missing:
-            store.clear_lock(triple)
     for index in cell_triples:
         cell_triples[index] &= set(missing)
     cell_tasks = [CellTask(index, cell) for index, cell in todo]
@@ -103,10 +95,10 @@ def plan_cell_partitions(todo):
 
 
 def journal_task_events(events, journal):
-    """Map raw scheduler results to :class:`TaskEvent` records,
-    journaling each finished cell the moment its result arrives —
-    the shared tail of every scheduled execution path (per-job worker
-    teams and the daemon's persistent fleet alike)."""
+    """Map raw ``(task, payload, seconds)`` results to
+    :class:`TaskEvent` records, journaling each finished cell the
+    moment its result arrives — the shared tail of every campaign
+    execution path (in-process, private supervisor, daemon fleet)."""
     for task, payload, seconds in events:
         if isinstance(task, CellTask):
             if journal is not None:
@@ -268,24 +260,50 @@ class JobHandle:
         return True
 
 
+@dataclass(frozen=True)
+class ExperimentTask:
+    """One experiment-registry entry as a task (the daemon runs
+    experiment jobs on its fleet — the daemon process itself never
+    simulates)."""
+
+    name: str
+    full: bool = False
+    position: int = 0
+
+    def label(self) -> str:
+        return self.name
+
+    def key(self) -> tuple:
+        """Stable identity for retry accounting and charge reservations."""
+        return ("experiment", self.position, self.name)
+
+    def run(self):
+        from repro.experiments.runner import REGISTRY
+
+        return REGISTRY[self.name].execute(full=self.full)
+
+
+def _run_inline(tasks):
+    """Execute ``tasks`` in this process, in order, as ``(task,
+    payload, seconds)`` results."""
+    for task in tasks:
+        start = time.perf_counter()
+        payload = task.run()
+        yield task, payload, time.perf_counter() - start
+
+
 class FoundryService:
     """Job-oriented execution front door (``submit`` / ``JobHandle``).
 
     Args:
         n_workers: Default worker count for jobs that do not pin one;
             None falls back to ``REPRO_SERVICE_WORKERS`` (default 1).
-        scheduler: Default campaign scheduler mode (``"stealing"``).
     """
 
-    def __init__(self, n_workers: int | None = None, scheduler: str = "stealing"):
+    def __init__(self, n_workers: int | None = None):
         if n_workers is not None:
             validate_worker_count(n_workers)
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}"
-            )
         self.n_workers = n_workers
-        self.scheduler = scheduler
 
     # -- submission -------------------------------------------------------
 
@@ -317,6 +335,28 @@ class FoundryService:
             return self.n_workers
         return default_worker_count()
 
+    # -- execution policy (the daemon's fleet service overrides these) ----
+
+    def _runs_inline(self, n_workers: int, n_tasks: int) -> bool:
+        """Whether a job of ``n_tasks`` tasks runs in this process
+        rather than on workers: 1-worker jobs and single tasks gain
+        nothing from a worker team."""
+        return n_workers == 1 or n_tasks <= 1
+
+    def _clear_lock_debris(self, store, triples) -> None:
+        """Clear a killed run's ``get_or_set`` locks on the missing
+        ``triples`` up front — correct because this service owns its
+        calibration store exclusively for the job."""
+        for triple in triples:
+            store.clear_lock(triple)
+
+    def _run_tasks(self, backend, store_path, cell_tasks, provision_tasks,
+                   cell_triples, n_workers, partitions=None):
+        """Execute one task graph — the executor hook: a private
+        supervisor here, the persistent fleet in the daemon."""
+        return run_stealing(cell_tasks, provision_tasks, cell_triples,
+                            n_workers, backend, store_path, partitions)
+
     # -- campaign jobs ----------------------------------------------------
 
     def _prepare_campaign(self, job: CampaignJob):
@@ -324,7 +364,6 @@ class FoundryService:
 
         cells = list(job.cells)
         n_workers = self._resolve_workers(job.n_workers)
-        scheduler = job.scheduler or self.scheduler
         # Up-front validation: every attack name must resolve before
         # any cell (or worker fork) runs.
         for attack, params in {(c.attack, c.attack_params) for c in cells}:
@@ -335,10 +374,9 @@ class FoundryService:
             journal.bind(
                 cells_fingerprint(cells), meta={"n_cells": len(cells)}
             )
-        return lambda: self._campaign_events(job, cells, n_workers,
-                                             scheduler, journal)
+        return lambda: self._campaign_events(job, cells, n_workers, journal)
 
-    def _campaign_events(self, job, cells, n_workers, scheduler, journal):
+    def _campaign_events(self, job, cells, n_workers, journal):
         from repro.campaigns.campaign import CampaignResult
 
         resolved_backend = job.backend or get_default_engine().backend
@@ -351,10 +389,9 @@ class FoundryService:
             timings[index] = seconds
             yield TaskEvent("replay", label, index, report, seconds)
         todo = [(i, cell) for i, cell in enumerate(cells) if i not in replayed]
-        runner, reported_workers = self._campaign_runner(
-            job, todo, n_workers, scheduler, journal
-        )
-        for event in runner:
+        results, reported_workers = self._campaign_runner(job, todo, n_workers,
+                                                          journal)
+        for event in journal_task_events(results, journal):
             if event.kind == "cell":
                 reports[event.index] = event.payload
                 timings[event.index] = event.seconds
@@ -366,27 +403,25 @@ class FoundryService:
             backend=resolved_backend,
         )
 
-    def _campaign_runner(self, job, todo, n_workers, scheduler, journal):
-        """Choose how the remaining cells execute: ``(runner,
-        reported_workers)``.
+    def _campaign_runner(self, job, todo, n_workers, journal):
+        """Choose how the remaining cells execute: ``(results,
+        reported_workers)``, where ``results`` yields ``(task, payload,
+        seconds)`` for the shared journaling tail.
 
-        The execution-policy hook the daemon's fleet-backed service
-        overrides: the base service runs small jobs in-process (the
-        ground-truth path) and shards the rest over a per-job worker
-        team; the daemon routes everything to its one persistent fleet.
-        Either way the runner yields the same :class:`TaskEvent`
-        sequence shape, which is why reports are bit-identical across
-        execution modes.
+        Small jobs run in-process (the ground-truth path, see
+        ``_runs_inline``) and everything else as a task graph on
+        supervised workers.  Either way the results have the same
+        shape, which is why reports are bit-identical across execution
+        modes.
         """
-        if n_workers == 1:
-            return self._campaign_inline(job, todo, journal), 1
-        if len(todo) <= 1 and not plan_cell_partitions(todo):
-            # A single scalar cell gains nothing from workers — but a
-            # single *partitioned* cell is exactly the dominant-cell
-            # case sub-task scheduling exists for, so it still shards.
+        partitions = plan_cell_partitions(todo)
+        # A partitioned cell counts as several tasks: a single
+        # partitioned cell is exactly the dominant-cell case sub-task
+        # scheduling exists for, so it still shards.
+        if self._runs_inline(n_workers, len(todo) + len(partitions)):
             return self._campaign_inline(job, todo, journal), 1
         return (
-            self._campaign_sharded(job, todo, n_workers, scheduler, journal),
+            self._campaign_graph(job, todo, n_workers, journal, partitions),
             n_workers,
         )
 
@@ -404,21 +439,13 @@ class FoundryService:
         if store_dir is not None:
             engine.calibration_store = CalibrationStore(store_dir)
         try:
-            for index, cell in todo:
-                start = time.perf_counter()
-                report = cell.execute()
-                seconds = time.perf_counter() - start
-                if journal is not None:
-                    journal.put_cell(index, cell.label(), report, seconds)
-                yield TaskEvent("cell", cell.label(), index, report, seconds)
+            yield from _run_inline(CellTask(i, cell) for i, cell in todo)
         finally:
             engine.backend = previous_backend
             engine.calibration_store = previous_store
 
-    def _campaign_sharded(self, job, todo, n_workers, scheduler, journal):
-        """Worker-process execution behind the scheduler."""
-        from repro.campaigns.campaign import provision_fleet
-
+    def _campaign_graph(self, job, todo, n_workers, journal, partitions):
+        """Worker execution: provisioning and cells as one task graph."""
         store_path = job.calibration_store or (
             journal.calibration_store_path() if journal else None
         )
@@ -427,40 +454,14 @@ class FoundryService:
             store_path = tempfile.mkdtemp(prefix="repro-calstore-")
         try:
             store = CalibrationStore(store_path)
-            # clear_locks=True: this job owns each triple as exactly
-            # one task, so a lock left by a killed run's terminated
-            # worker is debris.  (The daemon path plans with False —
-            # there a concurrent job may hold a *live* lock.)
             cell_tasks, provision_tasks, cell_triples = plan_campaign_tasks(
-                todo, store, clear_locks=True
+                todo, store
             )
-            missing = [task.triple for task in provision_tasks]
-            if scheduler == "static":
-                if missing:
-                    # The pre-scheduler behaviour: one parent-side
-                    # lockstep pass before any worker exists.
-                    start = time.perf_counter()
-                    provision_fleet(missing, store, backend=job.backend)
-                    yield TaskEvent(
-                        "provision",
-                        f"fleet of {len(missing)} dies",
-                        None,
-                        tuple(missing),
-                        time.perf_counter() - start,
-                    )
-                events = run_static(cell_tasks, n_workers, job.backend,
-                                    store_path)
-            else:
-                events = run_stealing(
-                    cell_tasks,
-                    provision_tasks,
-                    cell_triples,
-                    n_workers,
-                    job.backend,
-                    store_path,
-                    partitions=plan_cell_partitions(todo),
-                )
-            yield from journal_task_events(events, journal)
+            self._clear_lock_debris(store, [p.triple for p in provision_tasks])
+            yield from self._run_tasks(
+                job.backend, store_path, cell_tasks, provision_tasks,
+                cell_triples, n_workers, partitions,
+            )
         finally:
             if own_tmp:
                 shutil.rmtree(store_path, ignore_errors=True)
@@ -472,6 +473,8 @@ class FoundryService:
         return lambda: self._provisioning_events(job, n_workers)
 
     def _provisioning_events(self, job, n_workers):
+        from repro.campaigns.campaign import provision_fleet
+
         store = CalibrationStore(job.calibration_store)
         triples = sorted({tuple(t) for t in job.triples})
         missing = [
@@ -480,17 +483,8 @@ class FoundryService:
         ]
         if not missing:
             return 0
-        yield from self._provision_runner(job, missing, n_workers, store)
-        return len(missing)
-
-    def _provision_runner(self, job, missing, n_workers, store):
-        """Execute the missing triples (the daemon overrides this to
-        route them to its persistent fleet)."""
-        from repro.campaigns.campaign import provision_fleet
-
-        for triple in missing:
-            store.clear_lock(triple)  # killed-run debris; see campaign path
-        if n_workers == 1 or len(missing) <= 1:
+        self._clear_lock_debris(store, missing)
+        if self._runs_inline(n_workers, len(missing)):
             start = time.perf_counter()
             provision_fleet(missing, store, backend=job.backend)
             yield TaskEvent(
@@ -500,14 +494,14 @@ class FoundryService:
                 tuple(missing),
                 time.perf_counter() - start,
             )
-        else:
-            events = run_stealing(
-                [], [ProvisionTask(t) for t in missing], {}, n_workers,
-                job.backend, str(store.path),
-            )
-            for task, payload, seconds in events:
-                yield TaskEvent("provision", task.label(), None, payload,
-                                seconds)
+            return len(missing)
+        events = self._run_tasks(
+            job.backend, str(store.path), [],
+            [ProvisionTask(t) for t in missing], {}, n_workers,
+        )
+        for task, payload, seconds in events:
+            yield TaskEvent("provision", task.label(), None, payload, seconds)
+        return len(missing)
 
     # -- experiment jobs --------------------------------------------------
 
@@ -517,16 +511,22 @@ class FoundryService:
     def _experiment_events(self, job):
         from repro.experiments.runner import REGISTRY
 
-        if job.backend is not None:
-            set_default_backend(job.backend)
-        selected = list(REGISTRY.values())
-        if job.names:
-            selected = [spec for spec in selected if spec.name in job.names]
-        results = []
-        for position, spec in enumerate(selected):
-            start = time.perf_counter()
-            result = spec.execute(full=job.full)
-            seconds = time.perf_counter() - start
-            results.append(result)
-            yield TaskEvent("experiment", spec.name, position, result, seconds)
-        return results
+        selected = [n for n in REGISTRY if not job.names or n in job.names]
+        tasks = [
+            ExperimentTask(name, job.full, position)
+            for position, name in enumerate(selected)
+        ]
+        # n_workers=1: experiments stream in report order, exactly
+        # like the in-process registry loop.
+        if self._runs_inline(1, len(tasks)):
+            if job.backend is not None:
+                set_default_backend(job.backend)
+            results = _run_inline(tasks)
+        else:
+            results = self._run_tasks(job.backend, None, tasks, [], {}, 1)
+        payloads = []
+        for task, payload, seconds in results:
+            payloads.append(payload)
+            yield TaskEvent("experiment", task.name, task.position, payload,
+                            seconds)
+        return payloads

@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,39 @@ try:  # POSIX: the kernel releases a crashed holder's flock for us.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
+
+
+@contextmanager
+def _flock(path: Path):
+    """Hold the exclusive lock beside ``path`` (``<path>.lock``):
+    ``flock`` where available — a crashed holder's lock is released by
+    the kernel, so a SIGKILLed worker can never wedge its tenant — else
+    an ``O_CREAT|O_EXCL`` spin lock.
+
+    The flock is released with an explicit ``LOCK_UN``, not by closing
+    the descriptor: a worker forked while the lock is held inherits a
+    descriptor on the same open file description, and a close only
+    drops the lock once every such descriptor is closed — the
+    long-lived worker would keep the lock for its whole life."""
+    lock_path = path.with_suffix(path.suffix + ".lock")
+    if fcntl is not None:
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+    else:  # pragma: no cover - non-POSIX fallback
+        while True:
+            try:
+                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                time.sleep(0.005)
+    try:
+        yield
+    finally:
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_UN)
+        os.close(fd)
+        if fcntl is None:  # pragma: no cover - non-POSIX fallback
+            os.unlink(lock_path)
 
 
 class RateLimited(QueryBudgetExceeded):
@@ -194,32 +228,6 @@ class TokenBucket:
         self.clock = clock
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
-    # The lock discipline is TenantMeter's, on the bucket's own file.
-
-    def _lock_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".lock")
-
-    def _acquire(self):
-        if fcntl is not None:
-            fd = os.open(self._lock_path(), os.O_CREAT | os.O_RDWR, 0o644)
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            return fd
-        while True:  # pragma: no cover - non-POSIX fallback
-            try:
-                return os.open(
-                    self._lock_path(), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                time.sleep(0.005)
-
-    def _release(self, fd: int) -> None:
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-        else:  # pragma: no cover - non-POSIX fallback
-            os.close(fd)
-            os.unlink(self._lock_path())
-
     def _refilled(self, now: float) -> float:
         """Token level at ``now`` (lock held): stored level plus refill
         since the stored stamp, capped at capacity."""
@@ -232,19 +240,15 @@ class TokenBucket:
 
     def level(self) -> float:
         """The current token level (diagnostics and tests)."""
-        fd = self._acquire()
-        try:
+        with _flock(self.path):
             return self._refilled(self.clock())
-        finally:
-            self._release(fd)
 
     def take(self, n: float = 1.0) -> None:
         """Atomically debit ``n`` tokens, or raise :class:`RateLimited`
         with the bucket un-advanced when they are not there yet."""
         if n < 0:
             raise ValueError(f"cannot take a negative amount, got {n}")
-        fd = self._acquire()
-        try:
+        with _flock(self.path):
             now = self.clock()
             tokens = self._refilled(now)
             if tokens + 1e-9 < n:
@@ -257,21 +261,16 @@ class TokenBucket:
                     retry_after=retry_after,
                 )
             self.path.write_text(f"{tokens - n} {now}\n")
-        finally:
-            self._release(fd)
 
     def refund(self, n: float) -> None:
         """Return ``n`` tokens (capped at capacity) — the rollback half
         of a task reservation whose charges were rate-debited."""
         if n <= 0:
             return
-        fd = self._acquire()
-        try:
+        with _flock(self.path):
             now = self.clock()
             tokens = min(self.capacity, self._refilled(now) + n)
             self.path.write_text(f"{tokens} {now}\n")
-        finally:
-            self._release(fd)
 
 
 def reservation_path(meter_path: str | os.PathLike, task_id: str) -> Path:
@@ -332,32 +331,6 @@ class TenantMeter:
                 clock=clock,
             )
 
-    # -- locking ----------------------------------------------------------
-
-    def _lock_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".lock")
-
-    def _acquire(self):
-        if fcntl is not None:
-            fd = os.open(self._lock_path(), os.O_CREAT | os.O_RDWR, 0o644)
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            return fd
-        while True:  # pragma: no cover - non-POSIX fallback
-            try:
-                return os.open(
-                    self._lock_path(), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-            except FileExistsError:
-                time.sleep(0.005)
-
-    def _release(self, fd: int) -> None:
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-        else:  # pragma: no cover - non-POSIX fallback
-            os.close(fd)
-            os.unlink(self._lock_path())
-
     # -- the meter --------------------------------------------------------
 
     def _read(self) -> int:
@@ -368,11 +341,8 @@ class TenantMeter:
 
     def n_queries(self) -> int:
         """The tenant's metered measurement count so far."""
-        fd = self._acquire()
-        try:
+        with _flock(self.path):
             return self._read()
-        finally:
-            self._release(fd)
 
     def charge_batch(self, n: int, seconds_each: float = 0.0) -> None:
         """Atomically admit or refuse a whole ``n``-measurement chunk.
@@ -395,8 +365,7 @@ class TenantMeter:
         """
         if n < 0:
             raise ValueError(f"cannot charge a negative batch, got {n}")
-        fd = self._acquire()
-        try:
+        with _flock(self.path):
             count = self._read()
             if (
                 self.max_queries is not None
@@ -413,8 +382,6 @@ class TenantMeter:
                 reserved = _read_count(self._reservation)
                 self._reservation.write_text(f"{reserved + n}\n")
             self.path.write_text(f"{count + n}\n")
-        finally:
-            self._release(fd)
         if faults.ENABLED and faults.fire("task.crash_after_charge"):
             faults.crash()
 
@@ -434,23 +401,17 @@ class TenantMeter:
         (worker-side, before the task runs).  Any stale journal for the
         same id was settled by the parent before the retry started."""
         self._reservation = reservation_path(self.path, task_id)
-        fd = self._acquire()
-        try:
+        with _flock(self.path):
             self._reservation.write_text("0\n")
-        finally:
-            self._release(fd)
 
     def commit_task(self, task_id: str) -> None:
         """Settle ``task_id``'s reservation as spent (parent-side, on
         the task's result): the charges stand, the journal is dropped."""
-        fd = self._acquire()
-        try:
+        with _flock(self.path):
             try:
                 os.unlink(reservation_path(self.path, task_id))
             except OSError:
                 pass
-        finally:
-            self._release(fd)
 
     def rollback_task(self, task_id: str) -> int:
         """Refund ``task_id``'s journaled charges (parent-side, before
@@ -459,8 +420,7 @@ class TenantMeter:
         rollback — or a rollback racing a commit — finds no journal and
         refunds nothing."""
         reservation = reservation_path(self.path, task_id)
-        fd = self._acquire()
-        try:
+        with _flock(self.path):
             reserved = _read_count(reservation)
             if reserved:
                 count = self._read()
@@ -469,11 +429,34 @@ class TenantMeter:
                 os.unlink(reservation)
             except OSError:
                 pass
-        finally:
-            self._release(fd)
         if reserved and self.bucket is not None:
             # Refund the rate tokens the reclaimed task's charges took:
             # the retry will debit them again, and a crash must not
             # double-drain the bucket any more than the meter.
             self.bucket.refund(reserved)
         return reserved
+
+
+class TenantDirectory:
+    """Tenant lookup and submission-rate buckets for a server on a
+    (possibly shared) state root — the daemon and the gateway.  Needs
+    ``self.tenants`` (name -> :class:`TenantConfig`), ``self.root`` and
+    ``self.clock``."""
+
+    def tenant(self, name: str) -> TenantConfig:
+        """The tenant's config; unknown tenants get the defaults."""
+        return self.tenants.get(name) or TenantConfig(name=name)
+
+    def submit_bucket(self, tenant: TenantConfig) -> TokenBucket | None:
+        """The tenant's submission-rate bucket, or None when unlimited.
+        Keyed by file path under the root, so every daemon and gateway
+        on a shared root debits one tenant-wide limit."""
+        if tenant.max_submits_per_minute is None:
+            return None
+        return TokenBucket(
+            self.root / "tenants" / f"{tenant.name}.submits",
+            tenant.max_submits_per_minute,
+            tenant=tenant.name,
+            kind="submission",
+            clock=self.clock,
+        )

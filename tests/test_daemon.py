@@ -9,6 +9,7 @@ import os
 import pickle
 import signal
 import socket as socket_module
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -727,6 +728,34 @@ class TestDaemonTCP:
         finally:
             faults.install(standing)
         assert streamed == baseline
+
+    def test_multi_frame_reply_has_no_delayed_ack_stall(self, tcp_daemon):
+        """An ``events`` reply is several frames written back to back.
+        With Nagle's algorithm on, each frame after the first waits for
+        the client's delayed ACK, about 40 ms per request; both ends set
+        ``TCP_NODELAY``, so a 6-event replay plus its ``end`` frame
+        returns well inside 20 ms."""
+        from repro.service.protocol import connect
+
+        client = DaemonClient(socket=tcp_daemon.address)
+        handle = client.submit(
+            CampaignJob(cells=oracle_cells(6), n_workers=1)
+        )
+        handle.result(timeout=600)
+        sock = connect(tcp_daemon.address, timeout=30)
+        samples = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                send_frame(sock, {"op": "events", "job_id": handle.job_id})
+                n_events = 0
+                while "end" not in recv_frame(sock):
+                    n_events += 1
+                samples.append(time.perf_counter() - start)
+                assert n_events == 6
+        finally:
+            sock.close()
+        assert statistics.median(samples) < 0.02, samples
 
 
 # ---------------------------------------------------------------------------

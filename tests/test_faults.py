@@ -10,10 +10,14 @@ Plus the unit semantics of the plan itself: deterministic given a seed
 and spec, unknown points rejected, spec round-trips.
 """
 
+import json
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import tempfile
+import textwrap
 import threading
 import time
 import uuid
@@ -391,6 +395,49 @@ class TestSupervisionRaces:
             reference.reports
         )
 
+    def test_parent_single_threaded_at_every_worker_fork(self):
+        """Fork safety of the in-process path: the job's consumer
+        drives the supervisor, so the parent holds exactly one thread
+        whenever a worker forks — the initial team and the respawns
+        after ``task.crash_before_report`` alike.  Runs in a fresh
+        interpreter so no other test's threads can be counted."""
+        import repro
+
+        script = textwrap.dedent("""
+            import json, threading
+            from repro import faults
+            from repro.campaigns import CampaignCell, ThreatScenario
+            from repro.campaigns import run_campaign
+            from repro.service import scheduler
+
+            counts = []
+            real_spawn = scheduler.spawn_worker
+
+            def spawn(*args):
+                counts.append(threading.active_count())
+                return real_spawn(*args)
+
+            scheduler.spawn_worker = spawn
+            # at=2: each worker dies reporting its second task.
+            faults.install(faults.parse_spec("task.crash_before_report:at=2"))
+            base = ThreatScenario(budget=6, n_fft=1024, seed=5)
+            cells = [CampaignCell("brute-force", base.with_(seed=s))
+                     for s in range(4)]
+            run_campaign(cells, n_workers=2)
+            print(json.dumps(counts))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        env.pop("REPRO_FAULTS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        assert len(counts) > 2, "no worker was respawned"
+        assert counts == [1] * len(counts)
+
     def test_torn_pipe_worker_is_reaped_not_livelocked(self):
         """A worker whose pipe tears while the process stays alive with
         a beating heartbeat: the dispatch failure must flag the slot so
@@ -415,20 +462,43 @@ class TestSupervisionRaces:
             reference.reports
         )
 
+    def test_torn_pipes_with_work_left_are_reaped(self):
+        """More cells than workers, so work is still queued once every
+        worker has torn its pipe after its first result: the remaining
+        cells run only if the torn slots are flagged, reaped and
+        respawned (2 cells on 2 workers never dispatch to a torn
+        slot)."""
+        cells = oracle_cells(4)
+        reference = run_campaign(cells, n_workers=1)
+        outcome = {}
+
+        def drive():
+            outcome["result"] = run_campaign(cells, n_workers=2)
+
+        faults.install(faults.parse_spec("worker.torn_conn:at=1"))
+        thread = threading.Thread(target=drive, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        faults.install(None)
+        assert not thread.is_alive(), "torn-pipe slots livelocked the round"
+        assert report_bytes(outcome["result"].reports) == report_bytes(
+            reference.reports
+        )
+
     def test_fleet_late_result_settles_once(self, daemon_factory, monkeypatch):
         """The same kill/drain race guard on the daemon fleet's router
         sweep, with the same retries=1 sharpening."""
-        import repro.service.daemon as daemon_module
+        import repro.service.scheduler as scheduler_module
 
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "1")
         monkeypatch.setenv(TASK_RETRIES_ENV, "1")
-        real_kill = daemon_module.kill_slot
+        real_kill = scheduler_module.kill_slot
 
         def slow_kill(slot, note_kill):
             time.sleep(4.0)
             return real_kill(slot, note_kill)
 
-        monkeypatch.setattr(daemon_module, "kill_slot", slow_kill)
+        monkeypatch.setattr(scheduler_module, "kill_slot", slow_kill)
         cells = oracle_cells(2)
         reference = FoundryService().submit(
             CampaignJob(cells=cells, n_workers=1)

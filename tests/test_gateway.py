@@ -6,11 +6,13 @@ of a killed backend (PENDING re-routes, RUNNING strands behind
 BackendDown and resumes bit-identically on restart), the JSON-only
 HTTP facade, and the ``jobs``/``ping`` CLI verbs."""
 
+import http.client
 import json
 import os
 import pickle
 import signal
 import socket as socket_module
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -140,6 +142,31 @@ class TestTokenBucket:
         bucket.take(10.0)
         bucket.path.write_text("garbage")  # a torn write forfeits debits
         assert bucket.level() == 10.0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_lock_released_despite_child_forked_while_held(self, tmp_path):
+        # A worker forked while a connection thread holds a tenant lock
+        # inherits the lock's descriptor; leaving the lock must still
+        # release it, or the next charge on that tenant blocks forever.
+        import fcntl
+
+        from repro.service.tenants import _flock
+
+        path = tmp_path / "t.submits"
+        with _flock(path):
+            child = os.fork()
+            if child == 0:  # pragma: no cover - child only sleeps
+                time.sleep(30)
+                os._exit(0)
+        try:
+            fd = os.open(f"{path}.lock", os.O_RDWR)
+            try:  # non-blocking: a leaked lock fails here, not hangs
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+        finally:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
 
 
 class TestMeterRateLimits:
@@ -840,6 +867,26 @@ class TestHTTPFacade:
         )
         assert status == 200
         assert reply["cancelled"] is False  # already terminal
+
+    def test_keepalive_requests_do_not_stall(self, frontend):
+        """A reply goes out as two writes (headers, then body); with
+        Nagle's algorithm on, every request on a kept-alive connection
+        waited out the client's delayed ACK (~40 ms).  The handler
+        disables Nagle, so requests stay well under 20 ms."""
+        host, port = frontend.address.rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=60)
+        samples = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/v1/ping")
+                response = conn.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+                samples.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(samples) < 0.02, samples
 
     def test_rate_limited_submission_is_429(self, tmp_path):
         clock = FakeClock()

@@ -257,17 +257,6 @@ class TestSubTaskDifferential:
             reference.reports
         )
 
-    def test_static_scheduler_runs_partitioned_cells_scalar(self):
-        """The static baseline ignores partition plans (documented): a
-        partitioned cell list still reproduces the scalar reports."""
-        result = run_campaign(
-            [bf_cell(subtask_keys=8)], n_workers=2, scheduler="static"
-        )
-        reference = run_campaign([bf_cell()], n_workers=1)
-        assert report_bytes(result.reports) == report_bytes(
-            reference.reports
-        )
-
     def test_dominant_cell_on_the_daemon_fleet(self, daemon_factory):
         """The same differential through the daemon: partitioned cells
         become fleet sub-tasks, assembly emits one cell event each, and
