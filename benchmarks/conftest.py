@@ -2,13 +2,16 @@
 artefact, so a single measured round per benchmark keeps the harness
 practical while still timing the real workload.
 
-Every ``-m bench`` session also exports a machine-readable
+Every session whose ``-m`` expression selects ``bench`` (CI's
+``pytest -m bench``) also exports a machine-readable
 ``BENCH_results.json`` (override the path with ``REPRO_BENCH_JSON``):
 one record per benchmark with its wall time, any speedup ratio the
 benchmark computed (``benchmark.extra_info["speedup"]``), the
 *resolved* engine backend (what ``auto`` actually ran), its bench
 group and the host's CPU count — the across-PR perf trajectory in a
-form scripts can diff, not just the pytest-benchmark table.
+form scripts can diff, not just the pytest-benchmark table.  A plain
+``pytest`` run also collects and runs the benchmarks (tier-1 does) but
+exports nothing, so it never rewrites the tracked file.
 
 Guarded speedup benchmarks that a host cannot run (too few CPUs, no
 compiler, no SIMD lanes) are exported as explicit ``skipped: <reason>``
@@ -25,6 +28,7 @@ import json
 import os
 
 import pytest
+from _pytest.mark.expression import Expression
 
 _skipped_benchmarks = []
 
@@ -113,8 +117,20 @@ def _resolved_backend() -> str:
     return backend
 
 
+def _selects_bench(config) -> bool:
+    """Whether the session's ``-m`` expression selects ``bench``-marked
+    tests (no ``-m`` selects nothing here: it is not a bench session)."""
+    markexpr = config.getoption("markexpr")
+    return bool(markexpr) and Expression.compile(markexpr).evaluate(
+        lambda name, **kwargs: name == "bench"
+    )
+
+
 def pytest_sessionfinish(session, exitstatus):
-    """Write BENCH_results.json from whatever benchmarks actually ran."""
+    """Write BENCH_results.json from whatever benchmarks actually ran,
+    in ``-m bench`` sessions only."""
+    if not _selects_bench(session.config):
+        return
     bench_session = getattr(session.config, "_benchmarksession", None)
     ran = bench_session is not None and getattr(bench_session, "benchmarks", None)
     if not ran and not _skipped_benchmarks:

@@ -42,13 +42,6 @@ class OptimizationOutcome:
     history: list[float] = field(default_factory=list)
 
 
-def _fitness(oracle: MeasurementOracle, key: ConfigWord, sfdr_weight: float) -> float:
-    score = oracle.snr(key)
-    if sfdr_weight > 0.0:
-        score += sfdr_weight * min(0.0, oracle.sfdr(key) - oracle.spec().sfdr_min_db)
-    return score
-
-
 def blend_fitness(
     snrs, sfdrs, sfdr_weight: float, sfdr_min_db: float
 ) -> list[float]:
@@ -94,7 +87,7 @@ class SimulatedAnnealingAttack:
         """Anneal for ``n_evaluations`` oracle queries."""
         spec = self.oracle.spec()
         current = start or ConfigWord.random(self.rng)
-        current_score = _fitness(self.oracle, current, self.sfdr_weight)
+        current_score = _fitness_batch(self.oracle, [current], self.sfdr_weight)[0]
         best, best_score = current, current_score
         history = [best_score]
         temperature = self.initial_temperature
@@ -102,7 +95,7 @@ class SimulatedAnnealingAttack:
             n_flips = int(self.rng.integers(1, self.flips_per_move + 1))
             positions = self.rng.choice(KEY_BITS, size=n_flips, replace=False)
             candidate = current.flip_bits(list(positions))
-            score = _fitness(self.oracle, candidate, self.sfdr_weight)
+            score = _fitness_batch(self.oracle, [candidate], self.sfdr_weight)[0]
             accept = score >= current_score or self.rng.random() < np.exp(
                 (score - current_score) / max(temperature, 1e-9)
             )

@@ -1,8 +1,8 @@
 """Reference backend: the original per-sample scalar integrator.
 
 This is the ground truth the vectorized backend is held bit-exact to.
-The loop is a faithful transcription of the original
-``repro.receiver.sdm.simulate_modulator`` recursion — same ``math.tanh``
+The loop is a faithful transcription of the modulator recursion that
+originally lived in ``repro.receiver.sdm`` — same ``math.tanh``
 transcendental, same operand order, same results to the last bit — it
 merely reads its inputs from a precomputed
 :class:`~repro.engine.plan.KeyPlan` instead of rebuilding them inline,

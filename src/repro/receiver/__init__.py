@@ -33,7 +33,7 @@ from repro.receiver.performance import (
     stimulus_frequency,
 )
 from repro.receiver.receiver import Chip
-from repro.receiver.sdm import ModulatorBlocks, ModulatorResult, oscillation_config, simulate_modulator
+from repro.receiver.sdm import ModulatorBlocks, ModulatorResult, oscillation_config
 from repro.receiver.standards import STANDARDS, Standard, standard_by_index, standard_by_name
 from repro.receiver.stimulus import Tone, ToneStimulus
 
@@ -72,7 +72,6 @@ __all__ = [
     "oscillation_config",
     "peak_snr",
     "signal_band",
-    "simulate_modulator",
     "standard_by_index",
     "standard_by_name",
     "stimulus_frequency",

@@ -24,8 +24,9 @@ loop-topology enables that the calibration procedure manipulates:
 The integrator itself lives in :mod:`repro.engine` (per-key setup in
 ``engine.plan``, the scalar reference recursion in ``engine.reference``
 and the batched key-axis recursion in ``engine.vectorized``); this
-module keeps the data records shared by all of them plus the
-:func:`simulate_modulator` convenience entry point for single keys.
+module keeps the data records shared by all of them.  A single key
+simulates through :meth:`repro.receiver.Chip.simulate_modulator`, which
+goes through the engine like every batch.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.blocks import (
     Vglna,
 )
 from repro.receiver.config import ConfigWord
-from repro.receiver.stimulus import ToneStimulus
 
 
 @dataclass(frozen=True)
@@ -85,54 +85,6 @@ class ModulatorBlocks:
     tank_current_noise: float
     dither_amplitude: float
     bias_global_step: float
-
-
-def simulate_modulator(
-    blocks: ModulatorBlocks,
-    config: ConfigWord,
-    stimulus: ToneStimulus,
-    fs: float,
-    n_samples: int,
-    seed: int = 0,
-    substeps: int = 4,
-    initial_state: tuple[float, float] = (0.0, 0.0),
-) -> ModulatorResult:
-    """Transient-simulate the modulator for ``n_samples`` clock periods.
-
-    Single-key entry point over the engine's reference backend; batch
-    work should go through :class:`repro.engine.SimulationEngine`, which
-    can amortise the recursion across many keys.
-
-    Args:
-        blocks: The chip's analog blocks.
-        config: The 64-bit configuration word under test (the key).
-        stimulus: RF input.
-        fs: Clock frequency (the calibration sets ``fs = 4 * f0``).
-        n_samples: Number of output samples.
-        seed: Noise seed; fixed seeds make measurements repeatable, as
-            repeated lab measurements of one chip would be.
-        substeps: Sub-intervals per clock period.
-        initial_state: Initial ``(v_tank, i_L)`` — a small kick is useful
-            in oscillation mode.
-
-    Returns:
-        A :class:`ModulatorResult`.
-    """
-    # Deferred import: the engine package imports this module's records.
-    from repro.engine.plan import build_plan
-    from repro.engine.reference import simulate_plan
-    from repro.engine.request import ModulatorRequest
-
-    request = ModulatorRequest(
-        config=config,
-        stimulus=stimulus,
-        fs=fs,
-        n_samples=n_samples,
-        seed=seed,
-        substeps=substeps,
-        initial_state=initial_state,
-    )
-    return simulate_plan(build_plan(blocks, request))
 
 
 def oscillation_config(config: ConfigWord, gmq_code: int | None = None) -> ConfigWord:

@@ -20,14 +20,20 @@ timeout leaves the job running server-side.
 
 Defaults come from the environment: ``REPRO_SERVICE_SOCKET`` names the
 daemon address, ``REPRO_SERVICE_TENANT`` the tenant to submit under.
+Each request is one :func:`~repro.service.protocol.round_trip`, and a
+stream is :func:`~repro.service.protocol.read_stream` inside the
+reconnect/resume loop.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import closing
 
-from repro.service.jobs import JobCancelled, JobFailed, JobStatus
+from repro.service.jobs import (
+    JobCancelled, JobFailed, JobStatus, JournalMismatch,
+)
 from repro.service.protocol import (
     ProtocolError,
     SERVICE_SOCKET_ENV,
@@ -37,16 +43,10 @@ from repro.service.protocol import (
     default_address,
     encode_payload,
     event_from_wire,
-    recv_frame,
-    send_frame,
+    read_stream,
+    round_trip,
+    server_wait_timeout,
 )
-
-#: Socket-level grace added on top of a *server-side* wait: when the
-#: client asks the daemon to block (``result(timeout=T)``, ``drain``),
-#: the socket read must outlive the daemon's own T-second wait by the
-#: round-trip and scheduling slack, or a well-behaved daemon reply
-#: races the client's socket timeout.  One constant, every such call.
-RESULT_GRACE_SECONDS = 10.0
 
 #: First connect-retry backoff, seconds; doubles per attempt up to
 #: :data:`CONNECT_BACKOFF_MAX` while the connect budget lasts.
@@ -66,56 +66,31 @@ class DaemonUnavailableError(ConnectionError):
 
 
 def _raise_for(reply: dict):
-    """Map an error frame to the in-process handle's exception types."""
+    """Map an error frame to the in-process handle's exception types, so
+    typed refusals (quota, rate limit, submit() misuse) read the same
+    locally and over the wire."""
+    from repro.service.gateway import BackendDown
+    from repro.service.tenants import QueryBudgetExceeded, RateLimited
+
     kind = reply.get("kind", "")
     error = reply.get("error", "daemon request failed")
-    if kind == "JobFailed":
-        raise JobFailed(error)
-    if kind == "JobCancelled":
-        raise JobCancelled(error)
     if kind == "Timeout":
         raise TimeoutError(
             f"job still {reply.get('status', 'running')} "
             f"({reply.get('n_events', 0)} tasks completed); result() again "
             f"to keep waiting, cancel() to stop"
         )
-    if kind == "KeyError":
-        raise KeyError(error)
-    if kind == "DaemonUnavailable":
-        raise DaemonUnavailableError(error)
-    if kind == "BackendDown":
-        from repro.service.gateway import BackendDown
-
-        raise BackendDown(error)
-    if kind in ("RateLimited", "QueryBudgetExceeded"):
-        # Typed refusals keep their in-process types over the wire, so
-        # attack loops that already catch QueryBudgetExceeded treat a
-        # rate refusal exactly like quota exhaustion.
-        from repro.service.tenants import QueryBudgetExceeded, RateLimited
-
-        raise (RateLimited if kind == "RateLimited" else
-               QueryBudgetExceeded)(error)
-    if kind in ("ValueError", "TypeError", "JournalMismatch"):
-        # Up-front validation keeps its in-process exception type, so
-        # submit() misuse reads the same locally and over the wire.
-        raised = {"ValueError": ValueError, "TypeError": TypeError}.get(kind)
-        if raised is None:
-            from repro.service.jobs import JournalMismatch
-
-            raised = JournalMismatch
-        raise raised(error)
-    raise RuntimeError(f"{kind}: {error}" if kind else error)
-
-
-def _server_wait_grace(timeout: float | None) -> float | None:
-    """The socket timeout matching a server-side wait of ``timeout``
-    seconds: the daemon's wait plus :data:`RESULT_GRACE_SECONDS` of
-    transit slack.  ``timeout=0`` (an immediate poll) gets the full
-    grace — the daemon answers at once, the socket just has to carry
-    it; ``None`` (wait forever) disables the socket timeout too."""
-    if timeout is None:
-        return None
-    return max(timeout, 0.0) + RESULT_GRACE_SECONDS
+    raised = {
+        "JobFailed": JobFailed, "JobCancelled": JobCancelled,
+        "KeyError": KeyError, "DaemonUnavailable": DaemonUnavailableError,
+        "BackendDown": BackendDown, "RateLimited": RateLimited,
+        "QueryBudgetExceeded": QueryBudgetExceeded,
+        "ValueError": ValueError, "TypeError": TypeError,
+        "JournalMismatch": JournalMismatch,
+    }.get(kind)
+    if raised is None:
+        raise RuntimeError(f"{kind}: {error}" if kind else error)
+    raise raised(error)
 
 
 class DaemonClient:
@@ -176,20 +151,15 @@ class DaemonClient:
 
     def _request(self, frame: dict, timeout: float | None = "connect"):
         """One request/reply round trip on a fresh connection."""
-        sock = self._connect()
         try:
-            if timeout == "connect":
-                sock.settimeout(self.timeout)  # full budget for the reply
-            else:
-                sock.settimeout(timeout)
-            send_frame(sock, frame)
-            reply = recv_frame(sock)
-        finally:
-            sock.close()
-        if reply is None:
-            raise DaemonUnavailableError(
-                f"daemon at {self.address} closed the connection"
+            reply = round_trip(
+                self._connect(), frame,
+                self.timeout if timeout == "connect" else timeout,
             )
+        except ProtocolError as exc:
+            raise DaemonUnavailableError(
+                f"daemon at {self.address}: {exc}"
+            ) from exc
         if not reply.get("ok", False):
             _raise_for(reply)
         return reply
@@ -224,7 +194,7 @@ class DaemonClient:
         ``timeout=0`` is a valid immediate poll ("drained yet?")."""
         reply = self._request(
             {"op": "drain", "timeout": timeout, "shutdown": shutdown},
-            timeout=_server_wait_grace(timeout),
+            timeout=server_wait_timeout(timeout),
         )
         return reply["drained"]
 
@@ -263,28 +233,19 @@ class RemoteJobHandle:
         once across any number of reconnects."""
         return self._stream(live=True)
 
-    def _stream(self, live: bool):
-        delivered = 0
+    def _stream(self, live: bool, start: int = 0):
+        """The event log from index ``start`` (see :meth:`stream`)."""
+        delivered = start
         reconnects_left = STREAM_RECONNECTS
         while True:
-            sock = None
             try:
-                try:
-                    sock = self.client._connect()
-                    sock.settimeout(None)  # events arrive at task cadence
-                    send_frame(sock, {
-                        "op": "events", "job_id": self.job_id,
-                        # Resume past the events already yielded; the
-                        # daemon replays its buffer from any index.
-                        "start": delivered,
-                    })
-                    while True:
-                        frame = recv_frame(sock)
-                        if frame is None:
-                            raise ProtocolError(
-                                "daemon closed the event stream "
-                                "(shutdown or restart?)"
-                            )
+                with closing(read_stream(self.client._connect(), {
+                    "op": "events", "job_id": self.job_id,
+                    # Resume past the events already yielded; the
+                    # daemon replays its buffer from any index.
+                    "start": delivered,
+                })) as frames:
+                    for frame in frames:
                         if not frame.get("ok", True):
                             _raise_for(frame)  # deliberate — never retried
                         if "event" in frame:
@@ -295,10 +256,7 @@ class RemoteJobHandle:
                         end = frame["end"]
                         if live and end["status"] == JobStatus.FAILED.value:
                             raise JobFailed(end.get("error") or "job failed")
-                        return
-                finally:
-                    if sock is not None:
-                        sock.close()
+                return
             except TimeoutError:
                 # The daemon's own Timeout answer (an OSError subclass
                 # since 3.10) is a verdict, not a torn stream.
@@ -343,7 +301,7 @@ class RemoteJobHandle:
         # must outlive that wait by the shared transit grace.
         return self.client._request(
             {"op": "result", "job_id": self.job_id, "timeout": timeout},
-            timeout=_server_wait_grace(timeout),
+            timeout=server_wait_timeout(timeout),
         )
 
     def cancel(self) -> bool:

@@ -67,8 +67,9 @@ every job runs on the fleet against a shared store, so the event
 sequence shape, journaling and result assembly are the very code paths
 ``tests/test_service.py`` already holds bit-identical — the daemon
 differential guard in ``tests/test_daemon.py`` closes the loop over
-the wire.  The socket front door is :func:`~repro.service.protocol.
-serve_frames`, shared with the gateway.
+the wire.  The socket front door is :class:`~repro.service.protocol.
+FrameServer`, shared with the gateway; the daemon adds its start hook
+(sweep, fork, recover) and the drain-cancel on SIGTERM.
 """
 
 from __future__ import annotations
@@ -82,11 +83,13 @@ import pickle
 import queue as queue_module
 import threading
 import time
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
 from repro.engine import CalibrationStore
 from repro.service.jobs import (
+    TERMINAL_STATUSES,
     CampaignJob,
     JobFailed,
     JobStatus,
@@ -95,13 +98,12 @@ from repro.service.jobs import (
     validate_worker_count,
 )
 from repro.service.protocol import (
-    bind,
+    FrameServer,
     decode_payload,
     default_address,
     encode_payload,
     event_to_wire,
     send_frame,
-    serve_frames,
 )
 from repro.service.scheduler import (
     POLL_SECONDS,
@@ -111,9 +113,6 @@ from repro.service.scheduler import (
 )
 from repro.service.service import FoundryService
 from repro.service.tenants import TenantConfig, TenantDirectory, TenantMeter
-
-#: Job statuses that will never change again.
-TERMINAL_STATUSES = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED)
 
 
 class DaemonUnavailable(RuntimeError):
@@ -200,10 +199,8 @@ class WorkerFleet(Supervisor):
 
     def _wake(self) -> None:
         if self._wake_w is not None:
-            try:
+            with suppress(OSError):
                 os.write(self._wake_w, b"x")
-            except OSError:
-                pass
 
     def _route(self) -> None:
         while not self._stop_event.is_set():
@@ -224,10 +221,8 @@ class WorkerFleet(Supervisor):
         super().shutdown()
         for fd in (self._wake_r, self._wake_w):
             if fd is not None:
-                try:
+                with suppress(OSError):
                     os.close(fd)
-                except OSError:
-                    pass
         self._wake_r = self._wake_w = None
 
 
@@ -274,12 +269,13 @@ class DaemonJob:
     the wire-encoded event log, and a condition variable every
     connection handler waits on."""
 
-    def __init__(self, job_id: str, tenant: TenantConfig, job, handle):
+    def __init__(self, job_id: str, tenant: TenantConfig, job, handle,
+                 status: JobStatus):
         self.job_id = job_id
         self.tenant = tenant
         self.job = job
         self.handle = handle  # None for a terminal stub loaded at restart
-        self.status = JobStatus.PENDING if handle is not None else None
+        self.status = status
         self.events: list[dict] = []
         self.result_text: str | None = None
         self.error: str | None = None
@@ -288,8 +284,16 @@ class DaemonJob:
         self.drain_cancelled = False
         self.admitted = False
 
+    def settled(self) -> bool:
+        """Terminal for good.  A drain-cancelled job is CANCELLED only
+        for this daemon's life (a restart resumes it), so waits on it
+        end at stop and its event stream hangs up instead of ending."""
+        return self.status in TERMINAL_STATUSES and not (
+            self.status is JobStatus.CANCELLED and self.drain_cancelled
+        )
 
-class FoundryDaemon(TenantDirectory):
+
+class FoundryDaemon(FrameServer, TenantDirectory):
     """Long-lived, multi-tenant job server over the foundry service.
 
     Args:
@@ -333,7 +337,9 @@ class FoundryDaemon(TenantDirectory):
         #: it; worker-side measurement buckets always use real time).
         self.clock = time.monotonic
         self.root.mkdir(parents=True, exist_ok=True)
-        self.address = socket or default_address() or str(self.root / "daemon.sock")
+        super().__init__(
+            socket or default_address() or str(self.root / "daemon.sock")
+        )
         n = n_workers if n_workers is not None else default_worker_count()
         self.fleet = WorkerFleet(n)
         if max_active is None:
@@ -348,11 +354,6 @@ class FoundryDaemon(TenantDirectory):
         self._lock = threading.RLock()
         self._state_cond = threading.Condition(self._lock)
         self._draining = False
-        self._stop_event = threading.Event()
-        self._shutdown_requested = threading.Event()
-        self._listener = None
-        self._accept_thread = None
-        self._started = False
 
     # -- paths ------------------------------------------------------------
 
@@ -379,48 +380,20 @@ class FoundryDaemon(TenantDirectory):
 
     # -- lifecycle --------------------------------------------------------
 
-    def start(self) -> int:
-        """Bring the daemon up; returns the number of stale store locks
-        swept.
-
-        Order matters: sweep crashed-holder lock debris and fork the
-        fleet *first*, while this process is still single-threaded
-        (fork safety), then recover journaled jobs and finally open the
-        front door.
-        """
-        if self._started:
-            raise RuntimeError("daemon already started")
+    def _before_serving(self) -> int:
+        """``start()`` hook: sweep crashed-holder lock debris and fork the
+        fleet while this process is still single-threaded (fork safety),
+        then recover journaled jobs; returns the stale locks swept."""
         swept = CalibrationStore(self.store_path()).clear_locks()
         self.fleet.start()
-        self._started = True
         self._recover()
-        self._listener = bind(self.address)
-        self._listener.settimeout(POLL_SECONDS)
-        self._accept_thread = threading.Thread(
-            target=serve_frames, name="repro-daemon-accept",
-            args=(self._listener, self, self._stop_event), daemon=True,
-        )
-        self._accept_thread.start()
         return swept
 
-    def run(self) -> None:
-        """Blocking CLI entry point with signal-driven drain: SIGTERM
-        (and SIGINT) stops admission, cancels in-flight jobs at the
-        next task boundary — their finished cells are already
-        journaled, and they are *not* marked terminal, so a restart on
-        the same root resumes them — and exits."""
-        import signal
-
-        def _on_signal(signum, frame):
-            self._shutdown_requested.set()
-
-        signal.signal(signal.SIGTERM, _on_signal)
-        signal.signal(signal.SIGINT, _on_signal)
-        self.start()
-        try:
-            self._shutdown_requested.wait()
-        finally:
-            self.stop(drain_cancel=True)
+    def _shutdown(self) -> None:
+        """``run()``'s exit on SIGTERM/SIGINT: stop admission and cancel
+        in-flight jobs at the next task boundary *without* marking them
+        terminal, so a restart on the same root resumes them."""
+        self.stop(drain_cancel=True)
 
     def stop(self, drain_cancel: bool = False) -> None:
         """Tear the daemon down.
@@ -433,13 +406,11 @@ class FoundryDaemon(TenantDirectory):
         """
         if not self._started:
             return
-        self._shutdown_requested.set()
         with self._lock:
             self._draining = True
             active = [
                 djob for djob in self._jobs.values()
                 if djob.admitted and djob.status not in TERMINAL_STATUSES
-                and djob.status is not None
             ]
         if drain_cancel:
             for djob in active:
@@ -448,22 +419,8 @@ class FoundryDaemon(TenantDirectory):
                 self._state_cond.wait_for(
                     lambda: self._active == 0, timeout=60.0
                 )
-        self._stop_event.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
+        super().stop()
         self.fleet.shutdown()
-        family_is_unix = os.sep in self.address or ":" not in self.address
-        if family_is_unix:
-            try:
-                os.unlink(self.address)
-            except OSError:
-                pass
-        self._started = False
 
     def drain(self, timeout: float | None = None) -> bool:
         """Stop admitting new jobs and wait for every queued and
@@ -516,7 +473,8 @@ class FoundryDaemon(TenantDirectory):
                     bucket.take(1.0)
             prepared = self._prepare(jid, job)
             handle = _FleetService(self, tenant).submit(prepared)
-            djob = DaemonJob(jid, tenant, prepared, handle)
+            djob = DaemonJob(jid, tenant, prepared, handle,
+                             JobStatus.PENDING)
             self._jobs[jid] = djob
             self._persist(jid, tenant.name, job)
             heapq.heappush(
@@ -561,10 +519,8 @@ class FoundryDaemon(TenantDirectory):
             tmp.write_bytes(data)
             os.replace(tmp, job_dir / name)
         # A re-admission supersedes any previous terminal marker.
-        try:
+        with suppress(OSError):
             os.unlink(job_dir / "terminal.json")
-        except OSError:
-            pass
 
     def _write_terminal(self, djob: DaemonJob) -> None:
         marker = self.job_dir(djob.job_id) / "terminal.json"
@@ -601,9 +557,8 @@ class FoundryDaemon(TenantDirectory):
                     terminal = json.loads(terminal_path.read_text())
                     stub = DaemonJob(
                         meta["job_id"], self.tenant(meta["tenant"]),
-                        None, None,
+                        None, None, JobStatus(terminal["status"]),
                     )
-                    stub.status = JobStatus(terminal["status"])
                     stub.error = terminal.get("error")
                     with self._lock:
                         self._jobs[meta["job_id"]] = stub
@@ -662,12 +617,27 @@ class FoundryDaemon(TenantDirectory):
             djob.status = status
             djob.error = error
             djob.cond.notify_all()
-        if not (status is JobStatus.CANCELLED and djob.drain_cancelled):
+        if djob.settled():
             self._write_terminal(djob)
         with self._lock:
             self._active -= 1
             self._maybe_admit_locked()
             self._state_cond.notify_all()
+
+    def _wait_job(self, djob: DaemonJob, deadline: float | None = None,
+                  events_past: int | None = None) -> None:
+        """Wait on ``djob.cond`` (held by the caller) in POLL_SECONDS
+        slices until the job is settled, the daemon stops, ``deadline``
+        passes or the job has more than ``events_past`` events."""
+        while not djob.settled() and not self._stop_event.is_set():
+            if events_past is not None and len(djob.events) > events_past:
+                return
+            wait = POLL_SECONDS
+            if deadline is not None:
+                wait = min(wait, deadline - time.monotonic())
+                if wait <= 0:
+                    return
+            djob.cond.wait(timeout=wait)
 
     def _job(self, job_id: str) -> DaemonJob:
         with self._lock:
@@ -682,7 +652,7 @@ class FoundryDaemon(TenantDirectory):
         djob = self._job(job_id)
         finish_now = False
         with djob.cond:
-            if djob.status in TERMINAL_STATUSES or djob.status is None:
+            if djob.status in TERMINAL_STATUSES:
                 return False
             djob.cancel_requested = True
             if drain:
@@ -728,7 +698,7 @@ class FoundryDaemon(TenantDirectory):
             jobs = {
                 jid: {
                     "tenant": djob.tenant.name,
-                    "status": djob.status.value if djob.status else "unknown",
+                    "status": djob.status.value,
                     "n_events": len(djob.events),
                 }
                 for jid, djob in self._jobs.items()
@@ -767,15 +737,9 @@ class FoundryDaemon(TenantDirectory):
         i = int(frame.get("start", 0))
         while True:
             with djob.cond:
-                if len(djob.events) <= i and (
-                    djob.status not in TERMINAL_STATUSES
-                    and djob.status is not None
-                ):
-                    djob.cond.wait(timeout=POLL_SECONDS)
+                self._wait_job(djob, events_past=i)
                 batch = list(djob.events[i:])
-                done = (
-                    djob.status in TERMINAL_STATUSES or djob.status is None
-                )
+                done = djob.settled()
                 status = djob.status
                 error = djob.error
                 result_text = djob.result_text
@@ -784,7 +748,7 @@ class FoundryDaemon(TenantDirectory):
             i += len(batch)
             if done and not batch:
                 send_frame(conn, {"end": {
-                    "status": status.value if status else "unknown",
+                    "status": status.value,
                     "error": error,
                     "result": result_text,
                 }})
@@ -797,39 +761,29 @@ class FoundryDaemon(TenantDirectory):
         timeout = frame.get("timeout")
         deadline = None if timeout is None else time.monotonic() + timeout
         with djob.cond:
-            while djob.status not in TERMINAL_STATUSES \
-                    and djob.status is not None:
-                if self._stop_event.is_set():
-                    send_frame(conn, {
-                        "ok": False, "kind": "DaemonUnavailable",
-                        "error": "daemon is shutting down",
-                    })
-                    return
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    send_frame(conn, {
-                        "ok": False, "kind": "Timeout",
-                        "status": djob.status.value,
-                        "n_events": len(djob.events),
-                    })
-                    return
-                djob.cond.wait(timeout=POLL_SECONDS if remaining is None
-                               else min(POLL_SECONDS, remaining))
+            self._wait_job(djob, deadline=deadline)
+            if not djob.settled():
+                send_frame(conn, {
+                    "ok": False, "kind": "DaemonUnavailable",
+                    "error": "daemon is shutting down",
+                } if self._stop_event.is_set() else {
+                    "ok": False, "kind": "Timeout",
+                    "status": djob.status.value,
+                    "n_events": len(djob.events),
+                })
+                return
             status = djob.status
             error = djob.error
             result_text = djob.result_text
             n_events = len(djob.events)
-        if status is JobStatus.COMPLETED:
-            if result_text is None:  # terminal stub from a previous life
-                send_frame(conn, {
-                    "ok": False, "kind": "RuntimeError",
-                    "error": "result not retained across a daemon restart; "
-                             "resubmit the job to replay it from its journal",
-                })
-                return
+        if status is JobStatus.COMPLETED and result_text is not None:
             send_frame(conn, {"ok": True, "result": result_text})
+        elif status is JobStatus.COMPLETED:  # a stub from a previous life
+            send_frame(conn, {
+                "ok": False, "kind": "RuntimeError",
+                "error": "result not retained across a daemon restart; "
+                         "resubmit the job to replay it from its journal",
+            })
         elif status is JobStatus.CANCELLED:
             send_frame(conn, {
                 "ok": False, "kind": "JobCancelled",

@@ -48,7 +48,9 @@ are enforced by the backend, if configured there.
 
 Like the daemon, the gateway's frame side is **trusted-local** (frames
 carry pickles); the untrusted front door is the JSON-only facade in
-:mod:`repro.service.http`.
+:mod:`repro.service.http`.  It shares the daemon's server lifecycle
+(:class:`~repro.service.protocol.FrameServer`), adding the health
+thread, and the client's round trip and event-stream reader.
 """
 
 from __future__ import annotations
@@ -57,29 +59,26 @@ import hashlib
 import os
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 from repro.service.daemon import DaemonUnavailable, derive_job_id
 from repro.service.protocol import (
+    FrameServer,
     Hangup,
     ProtocolError,
-    bind,
     connect,
     decode_payload,
-    recv_frame,
+    read_stream,
+    round_trip,
     send_frame,
-    serve_frames,
+    server_wait_timeout,
 )
-from repro.service.scheduler import POLL_SECONDS
 from repro.service.tenants import TenantDirectory
 
 #: Environment variable naming the gateway's backend list
 #: (comma-separated daemon addresses).
 GATEWAY_BACKENDS_ENV = "REPRO_GATEWAY_BACKENDS"
-
-#: Socket-read slack on top of a server-side wait the gateway relays
-#: (result/drain timeouts) — the client-side constant, same reasoning.
-RELAY_GRACE_SECONDS = 10.0
 
 #: Job statuses a dead backend's jobs re-route from; anything else was
 #: (or may have been) running and must never silently re-run.
@@ -136,7 +135,7 @@ class GatewayJob:
         self.stranded = False
 
 
-class FoundryGateway(TenantDirectory):
+class FoundryGateway(FrameServer, TenantDirectory):
     """Front balancer over N foundry daemons sharing one root.
 
     Args:
@@ -178,7 +177,7 @@ class FoundryGateway(TenantDirectory):
                 f"a gateway needs at least one backend daemon address "
                 f"(pass backends= or set {GATEWAY_BACKENDS_ENV})"
             )
-        self.address = socket or str(self.root / "gateway.sock")
+        super().__init__(socket or str(self.root / "gateway.sock"))
         self.tenants = {config.name: config for config in tenants}
         self.health_interval = health_interval
         self.backend_timeout = backend_timeout
@@ -188,74 +187,24 @@ class FoundryGateway(TenantDirectory):
         self._records: dict[str, GatewayJob] = {}
         self._lock = threading.RLock()
         self._draining = False
-        self._stop_event = threading.Event()
-        self._shutdown_requested = threading.Event()
-        self._health_wake = threading.Event()
-        self._listener = None
-        self._accept_thread = None
         self._health_thread = None
-        self._started = False
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> None:
-        """Bring the gateway up: one synchronous health tick first (so
-        routing works from the first request), then the front door."""
-        if self._started:
-            raise RuntimeError("gateway already started")
-        self._started = True
+    def _before_serving(self) -> None:
+        """``start()`` hook: a first health tick, so routing works from
+        the first request, then the health thread."""
         self._health_tick()
         self._health_thread = threading.Thread(
             target=self._health_loop, name="repro-gateway-health",
             daemon=True,
         )
         self._health_thread.start()
-        self._listener = bind(self.address)
-        self._listener.settimeout(POLL_SECONDS)
-        self._accept_thread = threading.Thread(
-            target=serve_frames, name="repro-gateway-accept",
-            args=(self._listener, self, self._stop_event),
-            daemon=True,
-        )
-        self._accept_thread.start()
-
-    def run(self) -> None:
-        """Blocking CLI entry point: serve until SIGTERM/SIGINT (or a
-        ``drain`` with shutdown), then stop.  The backends are separate
-        processes — stopping the gateway never stops them."""
-        import signal
-
-        def _on_signal(signum, frame):
-            self._shutdown_requested.set()
-
-        signal.signal(signal.SIGTERM, _on_signal)
-        signal.signal(signal.SIGINT, _on_signal)
-        self.start()
-        try:
-            self._shutdown_requested.wait()
-        finally:
-            self.stop()
 
     def stop(self) -> None:
-        if not self._started:
-            return
-        self._shutdown_requested.set()
-        self._stop_event.set()
-        self._health_wake.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        for thread in (self._accept_thread, self._health_thread):
-            if thread is not None:
-                thread.join(timeout=5.0)
-        if os.sep in self.address or ":" not in self.address:
-            try:
-                os.unlink(self.address)
-            except OSError:
-                pass
-        self._started = False
+        super().stop()
+        if self._health_thread is not None:
+            self._health_thread.join(timeout=5.0)
 
     # -- backend health and failover ---------------------------------------
 
@@ -276,11 +225,7 @@ class FoundryGateway(TenantDirectory):
             self._on_backend_down(addr)
 
     def _health_loop(self) -> None:
-        while not self._stop_event.is_set():
-            self._health_wake.wait(self.health_interval)
-            self._health_wake.clear()
-            if self._stop_event.is_set():
-                return
+        while not self._stop_event.wait(self.health_interval):
             self._health_tick()
 
     def _health_tick(self) -> None:
@@ -288,7 +233,7 @@ class FoundryGateway(TenantDirectory):
             try:
                 info = self._backend_request(addr, {"op": "ping"})
                 up = bool(info.get("ok"))
-            except (OSError, ProtocolError, DaemonUnavailable):
+            except (OSError, ProtocolError):
                 up = False
             with self._lock:
                 was = self._alive.get(addr, False)
@@ -306,7 +251,7 @@ class FoundryGateway(TenantDirectory):
         decides re-route versus strand."""
         try:
             reply = self._backend_request(addr, {"op": "jobs"})
-        except (OSError, ProtocolError, DaemonUnavailable):
+        except (OSError, ProtocolError):
             return
         if not reply.get("ok"):
             return
@@ -372,30 +317,16 @@ class FoundryGateway(TenantDirectory):
         because every proxied op is idempotent: ``submit`` attaches by
         job id, ``events`` replays from ``start``, ``cancel`` and
         ``drain`` are no-ops the second time."""
+        if timeout == "default":
+            timeout = self.backend_timeout
         last_exc = None
         for _ in range(BACKEND_REQUEST_ATTEMPTS):
             try:
-                return self._backend_request_once(addr, frame, timeout)
-            except (OSError, ProtocolError, DaemonUnavailable) as exc:
+                return round_trip(connect(addr, timeout=self.backend_timeout),
+                                  frame, timeout)
+            except (OSError, ProtocolError) as exc:
                 last_exc = exc
         raise last_exc
-
-    def _backend_request_once(self, addr: str, frame: dict,
-                              timeout: float | None = "default") -> dict:
-        sock = connect(addr, timeout=self.backend_timeout)
-        try:
-            sock.settimeout(
-                self.backend_timeout if timeout == "default" else timeout
-            )
-            send_frame(sock, frame)
-            reply = recv_frame(sock)
-        finally:
-            sock.close()
-        if reply is None:
-            raise DaemonUnavailable(
-                f"backend {addr} closed the connection"
-            )
-        return reply
 
     def _submit_to(self, preferred: str | None, tenant: str, job_text: str,
                    job_id: str, rate_exempt: bool, exclude=()):
@@ -419,7 +350,7 @@ class FoundryGateway(TenantDirectory):
                     "op": "submit", "tenant": tenant, "job": job_text,
                     "job_id": job_id, "rate_exempt": rate_exempt,
                 })
-            except (OSError, ProtocolError, DaemonUnavailable):
+            except (OSError, ProtocolError):
                 tried.add(addr)
                 self._mark_down(addr)
                 continue
@@ -455,7 +386,7 @@ class FoundryGateway(TenantDirectory):
         addr = self._locate(frame["job_id"])
         try:
             return self._backend_request(addr, frame, timeout=timeout)
-        except (OSError, ProtocolError, DaemonUnavailable) as exc:
+        except (OSError, ProtocolError) as exc:
             self._mark_down(addr)
             raise BackendDown(
                 f"backend {addr} failed mid-request for job "
@@ -527,11 +458,8 @@ class FoundryGateway(TenantDirectory):
         send_frame(conn, reply)
 
     def _op_result(self, conn, frame) -> None:
-        timeout = frame.get("timeout")
         send_frame(conn, self._forward(
-            frame,
-            timeout=None if timeout is None
-            else max(timeout, 0.0) + RELAY_GRACE_SECONDS,
+            frame, timeout=server_wait_timeout(frame.get("timeout")),
         ))
 
     def _op_cancel(self, conn, frame) -> None:
@@ -544,33 +472,21 @@ class FoundryGateway(TenantDirectory):
         past the events it already has) engages — the same buffer
         replay it uses against a daemon directly."""
         addr = self._locate(frame["job_id"])
-        back = None
         try:
-            back = connect(addr, timeout=self.backend_timeout)
-            back.settimeout(None)  # events arrive at task cadence
-            send_frame(back, frame)
-            while True:
-                reply = recv_frame(back)
-                if reply is None:
-                    raise Hangup()
-                send_frame(conn, reply)
-                if "end" in reply or not reply.get("ok", True):
-                    return
+            with closing(read_stream(
+                connect(addr, timeout=self.backend_timeout), frame
+            )) as replies:
+                for reply in replies:
+                    send_frame(conn, reply)
         except (OSError, ProtocolError) as exc:
             raise Hangup() from exc
-        finally:
-            if back is not None:
-                try:
-                    back.close()
-                except OSError:
-                    pass
 
     def _op_jobs(self, conn, frame) -> None:
         jobs: dict[str, dict] = {}
         for addr in self._alive_backends():
             try:
                 reply = self._backend_request(addr, {"op": "jobs"})
-            except (OSError, ProtocolError, DaemonUnavailable):
+            except (OSError, ProtocolError):
                 self._mark_down(addr)
                 continue
             for jid, info in reply.get("jobs", {}).items():
@@ -603,7 +519,7 @@ class FoundryGateway(TenantDirectory):
                 continue
             try:
                 info = self._backend_request(addr, {"op": "ping"})
-            except (OSError, ProtocolError, DaemonUnavailable):
+            except (OSError, ProtocolError):
                 self._mark_down(addr)
                 per_backend[addr] = {"alive": False}
                 continue
@@ -649,11 +565,10 @@ class FoundryGateway(TenantDirectory):
                     addr,
                     {"op": "drain", "timeout": timeout,
                      "shutdown": shutdown},
-                    timeout=None if timeout is None
-                    else max(timeout, 0.0) + RELAY_GRACE_SECONDS,
+                    timeout=server_wait_timeout(timeout),
                 )
                 drained = drained and bool(reply.get("drained"))
-            except (OSError, ProtocolError, DaemonUnavailable):
+            except (OSError, ProtocolError):
                 self._mark_down(addr)
                 drained = False
         send_frame(conn, {"ok": True, "drained": drained})

@@ -11,7 +11,10 @@ daemon.  Nothing a client sends is ever unpickled, no server-side path
 (journal or calibration store directory) is accepted from the wire,
 and responses are plain JSON built from the campaign serialization
 helpers — the ``reports`` list is the deterministic artefact payload,
-byte-comparable across transports.
+byte-comparable across transports.  A job :func:`job_from_json`
+accepts has also passed its ``validate()`` (engine backend, experiment
+names): a bad request is a 400 at submit, never a job failing later.
+Every forward is a :class:`~repro.service.client.DaemonClient` call.
 
 Job schema (``POST /v1/jobs`` body)::
 
@@ -32,7 +35,7 @@ Job schema (``POST /v1/jobs`` body)::
        "backend": "reference",      # optional engine backend
        "scheduler": "stealing",     # optional
        # experiment jobs instead take:
-       "names": ["fig4"],           # optional registry filter
+       "names": ["fig7"],           # optional registry filter
        "full": false}}              # optional
 
 Endpoints::
@@ -50,7 +53,9 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import islice
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.client import DaemonClient, DaemonUnavailableError
@@ -59,15 +64,7 @@ from repro.service.jobs import (
     ExperimentJob,
     JobCancelled,
     JobFailed,
-    JournalMismatch,
     SCHEDULERS,
-    validate_worker_count,
-)
-from repro.service.protocol import (
-    connect,
-    event_from_wire,
-    recv_frame,
-    send_frame,
 )
 from repro.service.tenants import QueryBudgetExceeded, RateLimited
 
@@ -178,6 +175,17 @@ def _scenario_from_json(payload, where: str):
     return ThreatScenario(**fields)
 
 
+def _validated(job):
+    """``job.validate()`` with its refusals as :class:`SchemaError`: an
+    unknown experiment name is a bad request (400), not the unknown job
+    id a bare :class:`KeyError` would map to (404)."""
+    try:
+        job.validate()
+    except (ValueError, KeyError) as exc:
+        raise SchemaError(*exc.args) from None
+    return job
+
+
 def job_from_json(payload):
     """Validate the documented JSON job schema and build the real job
     object (trusted side).  Raises :class:`SchemaError` naming the
@@ -214,9 +222,9 @@ def job_from_json(payload):
             names = tuple(names)
         full = payload.get("full", False)
         _require(isinstance(full, bool), "job.full must be a boolean")
-        job = ExperimentJob(names=names, full=full, backend=backend)
-        job.validate()
-        return job
+        return _validated(
+            ExperimentJob(names=names, full=full, backend=backend)
+        )
     from repro.campaigns import ATTACKS
     from repro.campaigns.campaign import CampaignCell
 
@@ -253,24 +261,16 @@ def job_from_json(payload):
                 cell.get("attack_params"), f"{where}.attack_params"
             ),
         ))
-    n_workers = payload.get("n_workers")
-    if n_workers is not None:
-        try:
-            validate_worker_count(n_workers, "job.n_workers")
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
     scheduler = payload.get("scheduler")
     _require(
         scheduler is None or scheduler in SCHEDULERS,
         f"job.scheduler must be one of {SCHEDULERS} or omitted, "
         f"got {scheduler!r}",
     )
-    job = CampaignJob(
-        cells=tuple(cells), n_workers=n_workers, backend=backend,
-        scheduler=scheduler,
-    )
-    job.validate()
-    return job
+    return _validated(CampaignJob(
+        cells=tuple(cells), n_workers=payload.get("n_workers"),
+        backend=backend, scheduler=scheduler,
+    ))
 
 
 def event_to_json(event) -> dict:
@@ -391,15 +391,11 @@ class _HTTPHandler(BaseHTTPRequestHandler):
                 })
                 return
             handler(query)
-        except SchemaError as exc:
-            self._error(400, exc)
-        except (ValueError, TypeError, JournalMismatch) as exc:
+        except (ValueError, TypeError) as exc:  # incl. SchemaError
             self._error(400, exc)
         except KeyError as exc:
             self._error(404, exc)
-        except RateLimited as exc:
-            self._error(429, exc)
-        except QueryBudgetExceeded as exc:
+        except QueryBudgetExceeded as exc:  # incl. RateLimited
             self._error(429, exc)
         except JobCancelled as exc:
             self._error(409, exc)
@@ -477,9 +473,8 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         })
 
     def _get_events(self, job_id: str, query) -> None:
-        """Poll events from ``start``: a *bounded* read of the event
-        stream — status first to learn how many events exist, then read
-        exactly that many off the replaying stream and hang up.  No
+        """Poll events from ``start``: status first, then exactly the
+        events it counted off the client's resumable stream.  No
         long-poll: an untrusted client gets an answer and comes back."""
         try:
             start = int(query.get("start", "0"))
@@ -488,26 +483,9 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         _require(start >= 0, "start must be >= 0")
         client = self._client()
         status = client._request({"op": "status", "job_id": job_id})
-        available = int(status["n_events"])
-        events = []
-        if available > start:
-            sock = None
-            try:
-                sock = connect(client.address, timeout=client.timeout)
-                sock.settimeout(client.timeout)
-                send_frame(sock, {
-                    "op": "events", "job_id": job_id, "start": start,
-                })
-                while len(events) < available - start:
-                    frame = recv_frame(sock)
-                    if frame is None or "event" not in frame:
-                        break
-                    events.append(event_to_json(
-                        event_from_wire(frame["event"])
-                    ))
-            finally:
-                if sock is not None:
-                    sock.close()
+        n_new = max(int(status["n_events"]) - start, 0)
+        with closing(client.handle(job_id)._stream(False, start)) as stream:
+            events = [event_to_json(e) for e in islice(stream, n_new)]
         self._reply(200, {
             "job_id": job_id,
             "start": start,

@@ -32,6 +32,8 @@ import enum
 import os
 from dataclasses import dataclass, field
 
+from repro.engine import BACKENDS
+
 #: Environment variable naming the default worker count for jobs that
 #: do not pin one (unset or empty means in-process execution).
 SERVICE_WORKERS_ENV = "REPRO_SERVICE_WORKERS"
@@ -68,6 +70,10 @@ class JobStatus(enum.Enum):
     COMPLETED = "completed"  #: every task finished, result available
     FAILED = "failed"        #: a task raised; ``result()`` re-raises
     CANCELLED = "cancelled"  #: cancelled; finished tasks stay journaled
+
+
+#: Job statuses that will never change again.
+TERMINAL_STATUSES = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED)
 
 
 class JobFailed(RuntimeError):
@@ -110,6 +116,12 @@ class JobCancelled(RuntimeError):
 
 class JournalMismatch(ValueError):
     """The named journal belongs to a different job (fingerprint clash)."""
+
+
+def validate_backend(backend) -> None:
+    """Reject an engine backend outside :data:`repro.engine.BACKENDS`."""
+    if backend is not None and backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
 
 
 def validate_worker_count(value, name: str = "n_workers") -> int:
@@ -245,6 +257,7 @@ class CampaignJob:
             )
         if self.n_workers is not None:
             validate_worker_count(self.n_workers)
+        validate_backend(self.backend)
 
 
 @dataclass(frozen=True)
@@ -274,6 +287,7 @@ class ProvisioningJob:
                 )
         if self.n_workers is not None:
             validate_worker_count(self.n_workers)
+        validate_backend(self.backend)
 
 
 @dataclass(frozen=True)
@@ -286,6 +300,7 @@ class ExperimentJob:
     backend: str | None = None
 
     def validate(self) -> None:
+        validate_backend(self.backend)
         if self.names:
             from repro.experiments.runner import REGISTRY
 

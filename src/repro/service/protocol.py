@@ -18,10 +18,14 @@ network sharing a daemon).  ``REPRO_SERVICE_SOCKET`` names the default
 address for both the daemon and every client;
 ``REPRO_SERVICE_TENANT`` names the client's default tenant.
 
-The daemon and the gateway serve frames through one loop,
-:func:`serve_frames`.  TCP connections disable Nagle's algorithm on
-both ends: a reply is often several frames written back to back (an
-event replay), and would otherwise wait out a delayed ACK.
+Each frame-transport job exists once, here: :class:`FrameServer` is
+the server lifecycle of the daemon and the gateway (bind, the
+:func:`serve_frames` accept thread, signals, stop), :func:`round_trip`
+is one request and its reply, and :func:`read_stream` reads an event
+stream up to its ``end`` or error frame.  TCP connections disable
+Nagle's algorithm on both ends: a reply is often several frames written
+back to back (an event replay), and would otherwise wait out a delayed
+ACK.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ import base64
 import json
 import os
 import pickle
+import signal
 import socket
 import struct
 import threading
+from contextlib import suppress
 
 from repro import faults
+from repro.service.scheduler import POLL_SECONDS
 
 #: Environment variable naming the daemon address (socket path or
 #: ``host:port``) for the daemon and every client.
@@ -47,7 +54,14 @@ SERVICE_TENANT_ENV = "REPRO_SERVICE_TENANT"
 #: not look like a multi-gigabyte allocation request.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
+#: Socket-read slack on top of a server-side wait (``result(timeout=T)``,
+#: ``drain``): the read must outlive the server's own T-second wait, or
+#: a well-behaved reply races the reader's socket timeout.
+SERVER_WAIT_GRACE_SECONDS = 10.0
+
 _HEADER = struct.Struct(">I")
+
+_FAMILIES = {"unix": socket.AF_UNIX, "tcp": socket.AF_INET}
 
 
 class ProtocolError(RuntimeError):
@@ -92,13 +106,9 @@ def _recv_exact(
 
     With ``eof_ok`` (the length-prefix read), a peer that closes
     *mid-prefix* also reads as a clean EOF: a dying peer tears its
-    connection at whatever byte its kernel buffer happened to flush,
-    and the first 1-3 bytes of a length prefix carry no information
-    worth reporting — both the daemon loop and the client treat it
-    exactly like a close between frames.  A close mid-*payload* stays a
-    :class:`ProtocolError`: the peer promised ``length`` bytes and
-    broke the promise, which the caller may want to distinguish (the
-    client's stream resume does).
+    connection at whatever byte its kernel buffer flushed, and 1-3
+    prefix bytes carry nothing worth reporting.  A close mid-*payload*
+    stays a :class:`ProtocolError`: the peer broke a promised length.
     """
     chunks = []
     got = 0
@@ -136,6 +146,48 @@ def recv_frame(sock: socket.socket) -> dict | None:
     if not isinstance(obj, dict):
         raise ProtocolError(f"frame must be a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def server_wait_timeout(timeout: float | None) -> float | None:
+    """The socket timeout for a server-side wait of ``timeout`` seconds:
+    the wait plus the grace (0 polls; None waits forever, as does the read)."""
+    if timeout is None:
+        return None
+    return max(timeout, 0.0) + SERVER_WAIT_GRACE_SECONDS
+
+
+def round_trip(sock: socket.socket, frame: dict,
+               timeout: float | None) -> dict:
+    """Send ``frame`` on the connected ``sock``, read one reply within
+    ``timeout`` seconds and close the socket; a hang-up before the reply
+    raises :class:`ProtocolError`."""
+    try:
+        sock.settimeout(timeout)
+        send_frame(sock, frame)
+        reply = recv_frame(sock)
+    finally:
+        sock.close()
+    if reply is None:
+        raise ProtocolError("no reply: the peer closed the connection")
+    return reply
+
+
+def read_stream(sock: socket.socket, frame: dict):
+    """Send the ``events`` request ``frame`` on ``sock`` (closed when
+    done) and yield the replies through the ``end`` or error frame, with
+    no read timeout; a hang-up first raises :class:`ProtocolError`."""
+    try:
+        sock.settimeout(None)
+        send_frame(sock, frame)
+        while True:
+            reply = recv_frame(sock)
+            if reply is None:
+                raise ProtocolError("no end frame: the peer hung up")
+            yield reply
+            if "end" in reply or not reply.get("ok", True):
+                return
+    finally:
+        sock.close()
 
 
 def event_to_wire(event) -> dict:
@@ -190,11 +242,8 @@ def default_address() -> str | None:
 def connect(spec: str, timeout: float | None = None) -> socket.socket:
     """Open a client connection to a daemon address."""
     family, target = parse_address(spec)
-    if family == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    else:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        _no_delay(sock)
+    sock = socket.socket(_FAMILIES[family], socket.SOCK_STREAM)
+    _no_delay(sock)
     sock.settimeout(timeout)
     try:
         sock.connect(target)
@@ -213,31 +262,27 @@ def _no_delay(sock: socket.socket) -> None:
 
 
 def bind(spec: str) -> socket.socket:
-    """Create the daemon's listening socket for an address.
+    """Create a server's listening socket for an address.
 
     A stale Unix socket file left by a killed daemon is unlinked first
     — binding over it would otherwise fail forever (the filesystem
     analogue of the calibration store's crashed-holder lock debris).
     """
     family, target = parse_address(spec)
+    sock = socket.socket(_FAMILIES[family], socket.SOCK_STREAM)
     if family == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             sock.bind(target)
         except OSError:
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             try:
-                probe.connect(target)
+                connect(spec).close()
             except OSError:
-                probe.close()
                 os.unlink(target)  # stale: nobody is listening
                 sock.bind(target)
             else:
-                probe.close()
                 sock.close()
                 raise OSError(f"a daemon is already listening on {target}")
     else:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind(target)
     sock.listen(64)
@@ -290,7 +335,66 @@ def _serve_conn(conn: socket.socket, server, stop_event) -> None:
     except (ProtocolError, OSError):
         pass
     finally:
-        try:
+        with suppress(OSError):
             conn.close()
-        except OSError:
-            pass
+
+
+class FrameServer:
+    """The server lifecycle the daemon and the gateway share: ``start()``
+    runs the :meth:`_before_serving` hook, serves :attr:`address` on a
+    :func:`serve_frames` thread and returns the hook's result; ``stop()``
+    closes it and unlinks the socket file of a Unix address; :meth:`run`
+    serves until SIGTERM/SIGINT (or ``_shutdown_requested``), then
+    :meth:`_shutdown`."""
+
+    def __init__(self, address: str):
+        self.address = address
+        self._stop_event = threading.Event()
+        self._shutdown_requested = threading.Event()
+        self._listener = None
+        self._accept_thread = None
+        self._started = False
+
+    def _before_serving(self):
+        """Start hook, run before the listener binds."""
+
+    def _shutdown(self) -> None:
+        """How :meth:`run` stops the server."""
+        self.stop()
+
+    def start(self):
+        if self._started:
+            raise RuntimeError(f"{type(self).__name__} already started")
+        result = self._before_serving()
+        self._started = True
+        self._listener = bind(self.address)
+        self._listener.settimeout(POLL_SECONDS)
+        self._accept_thread = threading.Thread(
+            target=serve_frames, name=f"{type(self).__name__}-accept",
+            args=(self._listener, self, self._stop_event), daemon=True,
+        )
+        self._accept_thread.start()
+        return result
+
+    def run(self) -> None:
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, lambda *_: self._shutdown_requested.set())
+        self.start()
+        try:
+            self._shutdown_requested.wait()
+        finally:
+            self._shutdown()
+
+    def stop(self) -> None:
+        if not self._started:
+            return
+        self._shutdown_requested.set()
+        self._stop_event.set()
+        if self._accept_thread is not None:  # None: start() failed
+            with suppress(OSError):
+                self._listener.close()
+            self._accept_thread.join(timeout=5.0)
+            if parse_address(self.address)[0] == "unix":
+                with suppress(OSError):
+                    os.unlink(self.address)
+        self._started = False

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 from repro.engine import CalibrationStore, get_default_engine, set_default_backend
 from repro.service.jobs import (
+    TERMINAL_STATUSES,
     CampaignJob,
     ExperimentJob,
     JobCancelled,
@@ -134,11 +135,7 @@ class JobHandle:
 
     def _advance(self) -> bool:
         """Drive one task event; False when no more will come."""
-        if self._status in (
-            JobStatus.COMPLETED,
-            JobStatus.FAILED,
-            JobStatus.CANCELLED,
-        ):
+        if self._status in TERMINAL_STATUSES:
             return False
         if self._cancelled:
             self._status = JobStatus.CANCELLED
@@ -205,7 +202,7 @@ class JobHandle:
         signature with the daemon driving regardless.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while self._status in (JobStatus.PENDING, JobStatus.RUNNING):
+        while self._status not in TERMINAL_STATUSES:
             if deadline is not None and time.monotonic() >= deadline:
                 return False
             try:
@@ -246,11 +243,7 @@ class JobHandle:
         them); in-flight workers are reaped.  Returns False when the
         job had already finished.
         """
-        if self._status in (
-            JobStatus.COMPLETED,
-            JobStatus.FAILED,
-            JobStatus.CANCELLED,
-        ):
+        if self._status in TERMINAL_STATUSES:
             return False
         self._cancelled = True
         if self._gen is not None:

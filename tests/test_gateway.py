@@ -490,6 +490,30 @@ class TestGatewayProxy:
             sock.close()
 
 
+class TestServerLifecycle:
+    def test_stop_unlinks_a_relative_unix_socket_with_a_colon(
+        self, tmp_path, monkeypatch
+    ):
+        """``d:1.sock`` is a Unix socket path by :func:`parse_address`
+        (its port field is not all digits), so ``stop()`` must unlink
+        it like any other Unix socket it bound."""
+        monkeypatch.chdir(tmp_path)
+        address = "d:1.sock"
+        gateway = FoundryGateway(
+            tmp_path / "groot", backends=["nowhere.sock"], socket=address,
+        )
+        gateway.start()
+        assert os.path.exists(address)
+        gateway.stop()
+        assert not os.path.exists(address)
+        daemon = FoundryDaemon(tmp_path / "droot", socket=address,
+                               n_workers=1)
+        daemon.start()
+        assert os.path.exists(address)
+        daemon.stop()
+        assert not os.path.exists(address)
+
+
 class TestGatewayRateLimits:
     def test_gateway_debits_once_and_relays_typed_refusal(self, tmp_path):
         root = tmp_path / "shared"
@@ -825,6 +849,12 @@ class TestHTTPFacade:
                                  "attack_params": {"x": [1, 2]}}]}},
              "scalar"),
             ({"job": CAMPAIGN_JSON, "surprise": 1}, "unknown field"),
+            # Checked by the job's own validate(): refused at submit,
+            # never accepted (202) and failed later, and never the 404
+            # that means "unknown job id".
+            ({"job": dict(CAMPAIGN_JSON, backend="bogus")}, "bogus"),
+            ({"job": {"type": "experiment", "backend": "bogus"}}, "bogus"),
+            ({"job": {"type": "experiment", "names": ["fig99"]}}, "fig99"),
         ]
         for body, needle in cases:
             status, reply = http_request(
