@@ -115,12 +115,9 @@ class SatAttack:
 
         # Any key satisfying the accumulated IO constraints is correct:
         # drop the miter disagreement clause and solve for key A.
-        final = CnfBuilder()
-        final.clauses = [c for c in builder.clauses]
-        final._var_count = builder.n_vars
-        final._names = dict(builder._names)
-        final.clauses.remove(tuple(diff_vars))
-        result = solve_cnf(final.n_vars, final.clauses)
+        constraints = list(builder.clauses)
+        constraints.remove(tuple(diff_vars))
+        result = solve_cnf(builder.n_vars, constraints)
         if not result.satisfiable:
             raise RuntimeError("constraint set unsatisfiable — oracle inconsistent")
         key = 0

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.attacks.sat_attack as sat_attack_module
+from repro.attacks import SatAttack
 from repro.logic import (
     CnfBuilder,
     Gate,
     Netlist,
+    SatResult,
+    SatSolver,
     decimation_controller,
     encode_netlist,
     functional_under_key,
@@ -20,6 +24,132 @@ from repro.logic import (
     sar_optimizer_step,
     solve_cnf,
 )
+
+
+class ClauseScanSolver:
+    """The clause-scanning DPLL the watched-literal solver replaced.
+
+    Kept verbatim as the differential reference: the watched-literal
+    solver must reproduce its satisfiability, model and decision count
+    on every input.
+    """
+
+    def __init__(self, n_vars: int, clauses: list[tuple[int, ...]]):
+        self.n_vars = n_vars
+        self.clauses = [tuple(c) for c in clauses]
+        for clause in self.clauses:
+            for lit in clause:
+                if lit == 0 or abs(lit) > n_vars:
+                    raise ValueError(f"literal {lit} out of range")
+        # Occurrence lists: variable -> clause indices.
+        self._occurs: dict[int, list[int]] = {v: [] for v in range(1, n_vars + 1)}
+        for idx, clause in enumerate(self.clauses):
+            for lit in clause:
+                self._occurs[abs(lit)].append(idx)
+
+    def solve(self, max_decisions: int = 2_000_000) -> SatResult:
+        """Run DPLL; raises RuntimeError past ``max_decisions``."""
+        assignment: dict[int, bool] = {}
+        trail: list[tuple[int, bool]] = []  # (var, was_decision)
+        decisions = 0
+
+        def value(lit: int) -> bool | None:
+            v = assignment.get(abs(lit))
+            if v is None:
+                return None
+            return v if lit > 0 else not v
+
+        def assign(lit: int, is_decision: bool) -> None:
+            assignment[abs(lit)] = lit > 0
+            trail.append((abs(lit), is_decision))
+
+        def propagate() -> bool:
+            """Unit propagation to fixpoint; False on conflict."""
+            changed = True
+            while changed:
+                changed = False
+                for clause in self.clauses:
+                    unassigned = None
+                    n_unassigned = 0
+                    satisfied = False
+                    for lit in clause:
+                        v = value(lit)
+                        if v is True:
+                            satisfied = True
+                            break
+                        if v is None:
+                            unassigned = lit
+                            n_unassigned += 1
+                    if satisfied:
+                        continue
+                    if n_unassigned == 0:
+                        return False
+                    if n_unassigned == 1:
+                        assign(unassigned, is_decision=False)
+                        changed = True
+            return True
+
+        def backtrack() -> bool:
+            """Undo to the last decision and flip it; False if none left."""
+            while trail:
+                var, was_decision = trail.pop()
+                val = assignment.pop(var)
+                if was_decision:
+                    # Flip: re-assign as a forced (non-decision) value.
+                    assign(var if not val else -var, is_decision=False)
+                    return True
+            return False
+
+        # Static branching order: most-occurring variables first.
+        order = sorted(
+            range(1, self.n_vars + 1),
+            key=lambda v: -len(self._occurs[v]),
+        )
+
+        while True:
+            if not propagate():
+                if not backtrack():
+                    return SatResult(satisfiable=False, decisions=decisions)
+                continue
+            free = next((v for v in order if v not in assignment), None)
+            if free is None:
+                return SatResult(
+                    satisfiable=True, assignment=dict(assignment), decisions=decisions
+                )
+            decisions += 1
+            if decisions > max_decisions:
+                raise RuntimeError(f"decision budget exceeded ({max_decisions})")
+            assign(free, is_decision=True)
+
+
+def _outcome(solver, max_decisions: int = 2_000_000):
+    """(satisfiable, model, decisions), or the budget error's message."""
+    try:
+        result = solver.solve(max_decisions)
+    except RuntimeError as exc:
+        return str(exc)
+    return result.satisfiable, result.assignment, result.decisions
+
+
+@st.composite
+def random_cnfs(draw):
+    """1-14 variables, 0-60 clauses of width 1-4, unit clauses included.
+
+    Literals are drawn independently, so duplicate literals and
+    complementary pairs inside a clause are common on few variables.
+    One formula in ten also gets an empty clause at a random position.
+    """
+    n_vars = draw(st.integers(1, 14))
+    literal = st.builds(
+        lambda var, positive: var if positive else -var,
+        st.integers(1, n_vars),
+        st.booleans(),
+    )
+    clause = st.lists(literal, min_size=1, max_size=4).map(tuple)
+    clauses = draw(st.lists(clause, max_size=60))
+    if draw(st.integers(0, 9)) == 0:
+        clauses.insert(draw(st.integers(0, len(clauses))), ())
+    return n_vars, clauses
 
 
 class TestGates:
@@ -235,3 +365,48 @@ class TestCnfAndSat:
                 assert any(
                     result.assignment.get(abs(l), False) == (l > 0) for l in clause
                 )
+
+    def test_duplicate_literal_is_not_unit(self):
+        # Occurrences are counted: (a, a, b) with b false leaves two
+        # unassigned occurrences of a, so a is decided, not propagated.
+        result = solve_cnf(2, [(1, 1, 2), (-2,)])
+        assert result.satisfiable
+        assert result.assignment == {1: True, 2: False}
+        assert result.decisions == 1
+
+    def test_empty_clause_is_unsat_without_decisions(self):
+        result = solve_cnf(2, [(1, 2), ()])
+        assert not result.satisfiable
+        assert result.decisions == 0
+
+
+class TestWatchedLiteralsReplayClauseScan:
+    """The watched-literal solver replays the clause scan step for step."""
+
+    @given(random_cnfs(), st.integers(0, 8))
+    @settings(max_examples=400, deadline=None)
+    def test_random_cnf_search_identical(self, cnf, budget):
+        n_vars, clauses = cnf
+        new = SatSolver(n_vars, clauses)
+        reference = ClauseScanSolver(n_vars, clauses)
+        assert _outcome(new) == _outcome(reference)
+        # The budget check fires on the same decision in both.
+        assert _outcome(new, budget) == _outcome(reference, budget)
+
+    def test_adder_attack_solves_identical(self, monkeypatch):
+        outcomes = []
+
+        def differential(n_vars, clauses, max_decisions=2_000_000):
+            new = SatSolver(n_vars, clauses)
+            reference = ClauseScanSolver(n_vars, clauses)
+            outcomes.append((_outcome(new), _outcome(reference)))
+            return new.solve(max_decisions)
+
+        monkeypatch.setattr(sat_attack_module, "solve_cnf", differential)
+        rng = np.random.default_rng(5)
+        original = ripple_adder(4)
+        locked = lock_netlist(original, 7, rng)
+        result = SatAttack(locked=locked, oracle=locked.oracle(original)).run()
+        assert result.n_iterations == len(outcomes) - 1
+        for new, reference in outcomes:
+            assert new == reference
